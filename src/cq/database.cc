@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "base/check.h"
-#include "base/shard.h"
 #include "base/simd.h"
 #include "base/thread_pool.h"
 #include "obs/obs.h"
@@ -63,20 +62,6 @@ inline std::uint32_t HighestBit(std::uint32_t mask) {
   return top;
 }
 
-// Key of `row` under `mask`: values at masked positions, ascending. Returns
-// false if the row is too short to be constrained by every masked position
-// (legacy layout only; flat relations have uniform arity).
-inline bool KeyOf(const std::vector<ValueId>& row, std::uint32_t mask,
-                  std::vector<ValueId>* key) {
-  key->clear();
-  for (std::uint32_t p = 0; mask >> p != 0; ++p) {
-    if ((mask >> p & 1u) == 0) continue;
-    if (p >= row.size()) return false;
-    key->push_back(row[p]);
-  }
-  return true;
-}
-
 // Inline slot key for key widths <= 2: each value shifted up by one so the
 // result is always nonzero (0 is the empty-slot sentinel; kNoValue never
 // occurs in a row, so v+1 never wraps). Returns 0 for wide keys, which are
@@ -91,6 +76,35 @@ inline std::uint64_t PackedKey(std::uint32_t width,
   if (width == 0) return 1;  // the single possible (empty) key
   return 0;
 }
+
+// Debug-build validator for the freeze contract of the concurrency model
+// (ARCHITECTURE.md): a database handed to a parallel region is *frozen* —
+// concurrent probes are lock-free precisely because no mutation runs
+// until the barrier. Mutating entry points bump a relaxed epoch counter;
+// a guard constructed at the top of a lock-free read path re-checks the
+// epoch on destruction and aborts if a mutation raced the read. Compiled
+// out entirely in NDEBUG builds (the sanitizer CI legs build Debug, so
+// the contract stays exercised without taxing release probes).
+class EpochReadGuard {
+ public:
+#ifndef NDEBUG
+  explicit EpochReadGuard(const std::atomic<std::uint64_t>& epoch)
+      : epoch_(&epoch), seen_(epoch.load(std::memory_order_relaxed)) {}
+  ~EpochReadGuard() {
+    QCONT_CHECK_MSG(epoch_->load(std::memory_order_relaxed) == seen_,
+                    "database mutated during a lock-free read "
+                    "(freeze-during-parallel-region contract violated)");
+  }
+
+ private:
+  const std::atomic<std::uint64_t>* epoch_;
+  std::uint64_t seen_;
+#else
+  explicit EpochReadGuard(const std::atomic<std::uint64_t>&) {}
+#endif
+  EpochReadGuard(const EpochReadGuard&) = delete;
+  EpochReadGuard& operator=(const EpochReadGuard&) = delete;
+};
 
 }  // namespace
 
@@ -197,9 +211,7 @@ void Database::FlushProbeCounters(const LocalProbeCounters& c) const {
 // Grows `idx` so that `keys` occupied slots stay at or under the
 // configured load factor (ProbeOptions::max_load_percent, default 75).
 // Growing rehashes the slots and rebuilds the tag array and Bloom filter —
-// the postings arena and wide-key storage are untouched. Safe to call
-// concurrently on *distinct* indexes (the shard-parallel AddRowBatch path):
-// it touches only `idx` and the caller's counter stripe.
+// the postings arena and wide-key storage are untouched.
 void Database::EnsureFlatCapacity(FlatIndex* idx, std::size_t keys) const {
   const std::size_t cap = idx->slots.size();
   const auto load = static_cast<std::size_t>(probe_options_.max_load_percent);
@@ -261,10 +273,11 @@ std::size_t Database::InsertSlot(FlatIndex* idx, std::span<const ValueId> key,
   return i;
 }
 
-std::span<const std::uint32_t> Database::LookupFlatHashed(
-    const FlatIndex& idx, std::span<const ValueId> key, std::uint64_t packed,
-    std::uint64_t h) const {
+std::span<const std::uint32_t> Database::LookupFlat(
+    const FlatIndex& idx, std::span<const ValueId> key) const {
   if (idx.slots.empty()) return {};
+  const std::uint64_t packed = PackedKey(idx.key_width, key);
+  const std::uint64_t h = HashKey(idx, key, packed);
   if (probe_options_.use_filters && !BloomMayContain(idx.bloom, h)) {
     stats_stripe().filter_skips.fetch_add(1, std::memory_order_relaxed);
     return {};
@@ -277,21 +290,12 @@ std::span<const std::uint32_t> Database::LookupFlatHashed(
   return {idx.postings.data() + s.start, s.len};
 }
 
-std::span<const std::uint32_t> Database::LookupFlat(
-    const FlatIndex& idx, std::span<const ValueId> key) const {
-  if (idx.slots.empty()) return {};
-  const std::uint64_t packed = PackedKey(idx.key_width, key);
-  return LookupFlatHashed(idx, key, packed, HashKey(idx, key, packed));
-}
-
 // Folds every row added since the last probe of (relation, mask) into the
 // table. Runs under the exclusive memo lock. Batch shape: assign each new
 // row its slot first (capacity pre-grown, so slot indices are stable),
 // sort the (slot, row) pairs, then rebuild the postings arena in one walk
 // that keeps each bucket's rows in row order — amortized O(capacity + new
-// rows) regardless of how the batch scatters over buckets. Rows are read
-// through the global row directory when the relation is sharded, so the
-// secondary tables stay relation-global (postings hold global indices).
+// rows) regardless of how the batch scatters over buckets.
 void Database::CatchUpFlat(const RelationData& data, std::uint32_t mask,
                            FlatIndex* idx) const {
   const std::size_t total = data.num_rows;
@@ -302,26 +306,18 @@ void Database::CatchUpFlat(const RelationData& data, std::uint32_t mask,
   const std::uint32_t top = HighestBit(mask);
   if (data.arity == 0 || top >= data.arity) {
     // No row is long enough to be constrained by every masked position
-    // (flat relations have uniform arity), so the table stays empty.
+    // (relations have uniform arity), so the table stays empty.
     idx->rows_indexed = total;
     return;
   }
   const std::uint32_t w = idx->key_width;
   const std::size_t new_rows = total - idx->rows_indexed;
   EnsureFlatCapacity(idx, idx->used + new_rows);
-  const bool sharded = !data.row_dir.empty();
   std::vector<std::pair<std::uint32_t, std::uint32_t>> adds;  // (slot, row)
   adds.reserve(new_rows);
   ValueId key_buf[32];
   for (std::size_t r = idx->rows_indexed; r < total; ++r) {
-    const ValueId* row;
-    if (!sharded) {
-      row = data.shards[0].arena.data() + r * data.arity;
-    } else {
-      const RowRef ref = data.row_dir[r];
-      row = data.shards[ref.shard].arena.data() +
-            static_cast<std::size_t>(ref.local) * data.arity;
-    }
+    const ValueId* row = data.arena.data() + r * data.arity;
     std::uint32_t k = 0;
     for (std::uint32_t p = 0; mask >> p != 0; ++p) {
       if (mask >> p & 1u) key_buf[k++] = row[p];
@@ -383,52 +379,6 @@ const Database::FlatIndex* Database::EnsureFlatIndex(const RelationData& data,
 }
 
 // ---------------------------------------------------------------------------
-// Legacy probe path (the original unordered_map implementation, kept as a
-// differential reference behind DatabaseLayout::kLegacy).
-// ---------------------------------------------------------------------------
-
-std::span<const std::uint32_t> Database::ProbeLegacy(
-    const RelationData& data, std::uint32_t mask,
-    std::span<const ValueId> key) const {
-  const std::vector<ValueId> key_v(key.begin(), key.end());
-  {
-    std::shared_lock<std::shared_mutex> lock(memo_mu_.mu);
-    auto idx_it = data.indexes.find(mask);
-    if (idx_it != data.indexes.end() &&
-        idx_it->second.rows_indexed == data.rows.size()) {
-      const RelIndex& index = idx_it->second;
-      auto bucket = index.buckets.find(key_v);
-      if (bucket == index.buckets.end()) return {};
-      return {bucket->second.data(), bucket->second.size()};
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(memo_mu_.mu);
-  memo_exclusive_locks_.v.fetch_add(1, std::memory_order_relaxed);
-  auto [idx_it, built] = data.indexes.try_emplace(mask);
-  RelIndex& index = idx_it->second;
-  if (built) {
-    stats_stripe().indexes_built.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (index.rows_indexed < data.rows.size()) {
-    ObsSpan build_span(obs_, "db/index_build", "db");
-    build_span.AddArg("mask", mask);
-    build_span.AddArg("rows", data.rows.size() - index.rows_indexed);
-    const std::uint32_t top = HighestBit(mask);
-    std::vector<ValueId> row_key;
-    row_key.reserve(static_cast<std::size_t>(top) + 1);
-    for (std::size_t r = index.rows_indexed; r < data.rows.size(); ++r) {
-      if (!KeyOf(data.rows[r], mask, &row_key)) continue;
-      index.buckets[row_key].push_back(static_cast<std::uint32_t>(r));
-      stats_stripe().rows_indexed.fetch_add(1, std::memory_order_relaxed);
-    }
-    index.rows_indexed = data.rows.size();
-  }
-  auto bucket = index.buckets.find(key_v);
-  if (bucket == index.buckets.end()) return {};
-  return {bucket->second.data(), bucket->second.size()};
-}
-
-// ---------------------------------------------------------------------------
 // Storage.
 // ---------------------------------------------------------------------------
 
@@ -447,69 +397,40 @@ Database::RelationData& Database::EnsureRelation(RelationId rel) {
     rels_.emplace_back();
     rels_.back().name = pool_->NameOf(rel);
     rels_.back().id = rel;
-    if (layout_ == DatabaseLayout::kFlat) {
-      rels_.back().shards.resize(static_cast<std::size_t>(shard_count_));
-    }
     rel_ids_.push_back(rel);
     relations_dirty_ = true;
   }
   return rels_[slot];
 }
 
-bool Database::AddRowInternal(RelationData& data, std::span<const ValueId> row,
-                              Tuple* tuple) {
-  RelShard* sh = nullptr;
-  std::uint32_t shard_idx = 0;
-  if (layout_ == DatabaseLayout::kFlat) {
-    if (data.num_rows == 0) {
-      data.arity = row.size();
-      for (RelShard& s : data.shards) {
-        s.primary.key_width = static_cast<std::uint32_t>(row.size());
-      }
-    } else {
-      QCONT_CHECK_MSG(row.size() == data.arity,
-                      "flat relations have uniform arity");
-    }
-    // Duplicate detection through the owning shard's eager full-row table;
-    // a hit means the fact exists and nothing below runs — in particular
-    // the mutation epoch only bumps once the row is actually claimed, so
-    // the (hot) duplicate path touches no atomics. The row-key hash both
-    // routes to the shard (base/shard.h) and probes its table.
-    const std::uint64_t packed =
-        PackedKey(static_cast<std::uint32_t>(data.arity), row);
-    const std::uint64_t h =
-        HashRowKey(static_cast<std::uint32_t>(data.arity), row, packed);
-    shard_idx = shard_count_ > 1
-                    ? ShardOf(h, static_cast<std::uint32_t>(shard_count_))
-                    : 0;
-    sh = &data.shards[shard_idx];
-    FlatIndex& idx = sh->primary;
-    EnsureFlatCapacity(&idx, idx.used + 1);
-    LocalProbeCounters ignored;  // insert-path scans are not probe signal
-    const std::size_t i = FindSlot(idx, row, packed, h, &ignored);
-    FlatIndex::Slot& s = idx.slots[i];
-    if (s.key != 0) return false;
-    BumpEpoch();
-    if (idx.key_width <= 2) {
-      s.key = packed;
-    } else {
-      const std::uint64_t off = idx.wide_keys.size() / idx.key_width;
-      idx.wide_keys.insert(idx.wide_keys.end(), row.begin(), row.end());
-      s.key = off + 1;
-    }
-    SetTagAt(idx.tags, idx.slots.size(), i, TagOf(h));
-    BloomAdd(idx.bloom, h);
-    ++idx.used;
-    s.start = static_cast<std::uint32_t>(idx.postings.size());
-    s.len = 1;
-    idx.postings.push_back(static_cast<std::uint32_t>(data.num_rows));
+void Database::CheckArity(RelationData& data, std::size_t arity) {
+  if (data.num_rows == 0) {
+    data.arity = arity;
+    data.primary.key_width = static_cast<std::uint32_t>(arity);
   } else {
-    if (data.num_rows == 0) data.arity = row.size();
-    std::vector<ValueId> row_v(row.begin(), row.end());
-    if (!data.set.insert(row_v).second) return false;
-    BumpEpoch();
-    data.rows.push_back(std::move(row_v));
+    QCONT_CHECK_MSG(arity == data.arity, "relations have uniform arity");
   }
+}
+
+void Database::CommitRow(RelationData& data, std::size_t slot_i,
+                         std::span<const ValueId> row, std::uint64_t packed,
+                         std::uint64_t h, Tuple* tuple) {
+  FlatIndex& idx = data.primary;
+  FlatIndex::Slot& s = idx.slots[slot_i];
+  if (idx.key_width <= 2) {
+    s.key = packed;
+  } else {
+    const std::uint64_t off = idx.wide_keys.size() / idx.key_width;
+    idx.wide_keys.insert(idx.wide_keys.end(), row.begin(), row.end());
+    s.key = off + 1;
+  }
+  SetTagAt(idx.tags, idx.slots.size(), slot_i, TagOf(h));
+  BloomAdd(idx.bloom, h);
+  ++idx.used;
+  s.start = static_cast<std::uint32_t>(idx.postings.size());
+  s.len = 1;
+  idx.postings.push_back(static_cast<std::uint32_t>(data.num_rows));
+  data.arena.insert(data.arena.end(), row.begin(), row.end());
   Tuple out;
   if (tuple != nullptr) {
     out = std::move(*tuple);
@@ -523,18 +444,28 @@ bool Database::AddRowInternal(RelationData& data, std::span<const ValueId> row,
       domain_ids_list_.push_back(row[i]);
     }
   }
-  if (layout_ == DatabaseLayout::kFlat) {
-    sh->arena.insert(sh->arena.end(), row.begin(), row.end());
-    sh->primary.rows_indexed = sh->primary.postings.size();
-    if (shard_count_ > 1) {
-      data.row_dir.push_back(
-          {shard_idx,
-           static_cast<std::uint32_t>(sh->primary.postings.size() - 1)});
-    }
-  }
   data.tuples.push_back(std::move(out));
   ++data.num_rows;
   ++num_facts_;
+}
+
+bool Database::AddRowInternal(RelationData& data, std::span<const ValueId> row,
+                              Tuple* tuple) {
+  CheckArity(data, row.size());
+  // Duplicate detection through the eager full-row table; a hit means the
+  // fact exists and nothing below runs — in particular the mutation epoch
+  // only bumps once the row is actually claimed, so the (hot) duplicate
+  // path touches no atomics.
+  const auto w = static_cast<std::uint32_t>(data.arity);
+  const std::uint64_t packed = PackedKey(w, row);
+  const std::uint64_t h = HashRowKey(w, row, packed);
+  FlatIndex& idx = data.primary;
+  EnsureFlatCapacity(&idx, idx.used + 1);
+  LocalProbeCounters ignored;  // insert-path scans are not probe signal
+  const std::size_t i = FindSlot(idx, row, packed, h, &ignored);
+  if (idx.slots[i].key != 0) return false;
+  BumpEpoch();
+  CommitRow(data, i, row, packed, h, tuple);
   return true;
 }
 
@@ -550,277 +481,53 @@ bool Database::AddRow(RelationId rel, std::span<const ValueId> row) {
   return AddRowInternal(EnsureRelation(rel), row, nullptr);
 }
 
+// The per-candidate sequence is AddRowInternal's — capacity ensured before
+// every candidate, duplicates included — so the batch leaves the exact
+// table a serial AddRow loop would. Unlike AddRow, the dedup lookups are
+// probe signal: Bloom-gated like ProbeMany, with their tag and filter
+// traffic counted.
 std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
-                                  std::span<const ValueId> rows,
-                                  const ExecContext& exec,
-                                  std::vector<std::uint32_t>* added) {
+                                  std::span<const ValueId> rows) {
   QCONT_CHECK_MSG(arity >= 1 && rows.size() % arity == 0,
                   "AddRowBatch: rows must be dense with stride arity >= 1");
   const std::size_t n = rows.size() / arity;
   if (n == 0) return 0;
   BumpEpoch();
-  // Per-candidate dedup lookups are probe signal (the per-key ProbeMany
-  // contract): one `probes` tick per candidate, on every layout.
   stats_stripe().probes.fetch_add(n, std::memory_order_relaxed);
   RelationData& data = EnsureRelation(rel);
-  if (layout_ == DatabaseLayout::kLegacy) {
-    std::size_t added_count = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (AddRowInternal(data, rows.subspan(i * arity, arity), nullptr)) {
-        ++added_count;
-        if (added != nullptr) {
-          added->push_back(static_cast<std::uint32_t>(data.num_rows - 1));
-        }
-      }
-    }
-    return added_count;
-  }
-  if (data.num_rows == 0) {
-    data.arity = arity;
-    for (RelShard& s : data.shards) {
-      s.primary.key_width = static_cast<std::uint32_t>(arity);
-    }
-  } else {
-    QCONT_CHECK_MSG(arity == data.arity,
-                    "flat relations have uniform arity");
-  }
-  const auto P = static_cast<std::uint32_t>(shard_count_);
+  CheckArity(data, arity);
   const auto w = static_cast<std::uint32_t>(arity);
   const bool filter = probe_options_.use_filters;
-
-  // Small unsharded batches (the common delta-round case: tens of rows)
-  // take a serial fast path: the same per-candidate sequence as the staged
-  // pipeline below — capacity, Bloom gate, counted dedup FindSlot, claim —
-  // fused into one loop with no staging vectors, so a tiny round-barrier
-  // commit costs no allocations. Row order and every counter are identical
-  // to the staged path by construction (at P = 1 the staged path visits
-  // candidates in this exact order).
-  constexpr std::size_t kSerialBatchMax = 1024;
-  if (shard_count_ == 1 && n <= kSerialBatchMax) {
-    RelShard& sh = data.shards[0];
-    FlatIndex& idx = sh.primary;
-    LocalProbeCounters c;
-    std::size_t added_count = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::span<const ValueId> key = rows.subspan(i * arity, arity);
-      const std::uint64_t packed = PackedKey(w, key);
-      const std::uint64_t h = HashKey(idx, key, packed);
-      EnsureFlatCapacity(&idx, idx.used + 1);
-      bool have_slot = false;
-      std::size_t slot_i = 0;
-      if (filter && !BloomMayContain(idx.bloom, h)) {
-        ++c.filter_skips;
-      } else {
-        slot_i = FindSlot(idx, key, packed, h, &c);
-        if (idx.slots[slot_i].key != 0) continue;  // duplicate
-        have_slot = true;
-      }
-      if (!have_slot) {
-        LocalProbeCounters ignored;  // insert scan, not probe signal
-        slot_i = FindSlot(idx, key, packed, h, &ignored);
-      }
-      FlatIndex::Slot& slot = idx.slots[slot_i];
-      if (idx.key_width <= 2) {
-        slot.key = packed;
-      } else {
-        const std::uint64_t off = idx.wide_keys.size() / idx.key_width;
-        idx.wide_keys.insert(idx.wide_keys.end(), key.begin(), key.end());
-        slot.key = off + 1;
-      }
-      SetTagAt(idx.tags, idx.slots.size(), slot_i, TagOf(h));
-      BloomAdd(idx.bloom, h);
-      ++idx.used;
-      const auto g = static_cast<std::uint32_t>(data.num_rows);
-      slot.start = static_cast<std::uint32_t>(idx.postings.size());
-      slot.len = 1;
-      idx.postings.push_back(g);
-      sh.arena.insert(sh.arena.end(), key.begin(), key.end());
-      Tuple t;
-      t.reserve(arity);
-      for (ValueId v : key) t.push_back(pool_->NameOf(v));
-      for (std::size_t k = 0; k < arity; ++k) {
-        if (domain_ids_.insert(key[k]).second) {
-          domain_.push_back(t[k]);
-          domain_ids_list_.push_back(key[k]);
-        }
-      }
-      data.tuples.push_back(std::move(t));
-      if (added != nullptr) added->push_back(g);
-      ++data.num_rows;
-      ++num_facts_;
-      ++added_count;
-    }
-    idx.rows_indexed = idx.postings.size();
-    FlushProbeCounters(c);
-    return added_count;
-  }
-  const FlatIndex& proto = data.shards[0].primary;  // key_width carrier
-
-  // Stage 1 (parallel): hash and shard-route every candidate. The row-key
-  // hash computed here is reused verbatim for the shard's table probe.
-  std::vector<std::uint64_t> hashes(n);
-  std::vector<std::uint64_t> packs(n);
-  std::vector<std::uint32_t> shard_of(n);
-  constexpr std::size_t kChunk = 4096;
-  ParallelFor(exec, (n + kChunk - 1) / kChunk, [&](std::size_t chunk) {
-    const std::size_t lo = chunk * kChunk;
-    const std::size_t hi = std::min(n, lo + kChunk);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::span<const ValueId> key = rows.subspan(i * arity, arity);
-      packs[i] = PackedKey(w, key);
-      hashes[i] = HashKey(proto, key, packs[i]);
-      shard_of[i] = P > 1 ? ShardOf(hashes[i], P) : 0;
-    }
-  });
-
-  // Bucket candidate indices by shard, preserving candidate order within
-  // each shard (stable counting sort), so each shard task scans only its
-  // own candidates.
-  std::vector<std::uint32_t> shard_start(P + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) ++shard_start[shard_of[i] + 1];
-  for (std::uint32_t s = 0; s < P; ++s) shard_start[s + 1] += shard_start[s];
-  std::vector<std::uint32_t> order(n);
-  {
-    std::vector<std::uint32_t> fill(shard_start.begin(),
-                                    shard_start.begin() + P);
-    for (std::size_t i = 0; i < n; ++i) {
-      order[fill[shard_of[i]]++] = static_cast<std::uint32_t>(i);
-    }
-  }
-
-  // Stage 2 (parallel, one task per shard): dedup against the shard's
-  // table *and* against earlier candidates of the batch (a claimed row is
-  // immediately visible to later lookups of the same shard task), claiming
-  // survivors into the shard's private table and arena. Per shard this is
-  // byte-for-byte the serial AddRow sequence — capacity ensured before
-  // every candidate, dups included — so a P=1 batch leaves the exact table
-  // a serial loop would. Shard tasks touch disjoint shards, disjoint
-  // survivor bytes, and per-thread counter stripes: no shared locks.
-  const auto post_base = [&] {
-    std::vector<std::size_t> base(P);
-    for (std::uint32_t s = 0; s < P; ++s) {
-      base[s] = data.shards[s].primary.postings.size();
-    }
-    return base;
-  }();
-  std::vector<std::uint8_t> survivor(n, 0);
-  ParallelFor(exec, P, [&](std::size_t s) {
-    RelShard& sh = data.shards[s];
-    FlatIndex& idx = sh.primary;
-    LocalProbeCounters c;
-    const std::uint32_t* begin = order.data() + shard_start[s];
-    const std::uint32_t* end = order.data() + shard_start[s + 1];
-    for (const std::uint32_t* p = begin; p != end; ++p) {
-      const std::size_t i = *p;
-      const std::span<const ValueId> key = rows.subspan(i * arity, arity);
-      EnsureFlatCapacity(&idx, idx.used + 1);
-      // Dedup lookup, Bloom-gated like ProbeMany. A filter miss proves the
-      // row absent even against earlier batch claims (claims BloomAdd).
-      bool have_slot = false;
-      std::size_t slot_i = 0;
-      if (filter && !BloomMayContain(idx.bloom, hashes[i])) {
-        ++c.filter_skips;
-      } else {
-        slot_i = FindSlot(idx, key, packs[i], hashes[i], &c);
-        if (idx.slots[slot_i].key != 0) continue;  // duplicate
-        have_slot = true;
-      }
-      if (!have_slot) {
-        LocalProbeCounters ignored;  // insert scan, not probe signal
-        slot_i = FindSlot(idx, key, packs[i], hashes[i], &ignored);
-      }
-      FlatIndex::Slot& slot = idx.slots[slot_i];
-      if (idx.key_width <= 2) {
-        slot.key = packs[i];
-      } else {
-        const std::uint64_t off = idx.wide_keys.size() / idx.key_width;
-        idx.wide_keys.insert(idx.wide_keys.end(), key.begin(), key.end());
-        slot.key = off + 1;
-      }
-      SetTagAt(idx.tags, idx.slots.size(), slot_i, TagOf(hashes[i]));
-      BloomAdd(idx.bloom, hashes[i]);
-      ++idx.used;
-      slot.start = static_cast<std::uint32_t>(idx.postings.size());
-      slot.len = 1;
-      idx.postings.push_back(0);  // placeholder; patched with the global id
-      sh.arena.insert(sh.arena.end(), key.begin(), key.end());
-      survivor[i] = 1;
-    }
-    idx.rows_indexed = idx.postings.size();
-    FlushProbeCounters(c);
-  });
-
-  // Stage 3 (serial): assign global row numbers to the survivors in
-  // candidate order — identical numbering to a serial AddRow loop — patch
-  // the placeholder postings, extend the row directory, and fold new
-  // values into the active domain in first-occurrence order.
-  std::vector<std::uint32_t> surv;  // candidate index per committed row
-  surv.reserve(n);
-  std::vector<std::uint32_t> shard_seen(P, 0);
+  FlatIndex& idx = data.primary;
+  LocalProbeCounters c;
+  const std::size_t before = data.num_rows;
   for (std::size_t i = 0; i < n; ++i) {
-    if (survivor[i] == 0) continue;
-    const std::uint32_t s = shard_of[i];
-    const auto local =
-        static_cast<std::uint32_t>(post_base[s] + shard_seen[s]);
-    ++shard_seen[s];
-    const auto g = static_cast<std::uint32_t>(data.num_rows);
-    data.shards[s].primary.postings[local] = g;
-    if (shard_count_ > 1) data.row_dir.push_back({s, local});
     const std::span<const ValueId> key = rows.subspan(i * arity, arity);
-    for (ValueId v : key) {
-      if (domain_ids_.insert(v).second) {
-        domain_.push_back(pool_->NameOf(v));
-        domain_ids_list_.push_back(v);
-      }
+    const std::uint64_t packed = PackedKey(w, key);
+    const std::uint64_t h = HashRowKey(w, key, packed);
+    EnsureFlatCapacity(&idx, idx.used + 1);
+    std::size_t slot_i;
+    if (filter && !BloomMayContain(idx.bloom, h)) {
+      // A filter miss proves the row absent, even against earlier claims
+      // of this batch (claims BloomAdd).
+      ++c.filter_skips;
+      LocalProbeCounters ignored;  // insert scan, not probe signal
+      slot_i = FindSlot(idx, key, packed, h, &ignored);
+    } else {
+      slot_i = FindSlot(idx, key, packed, h, &c);
+      if (idx.slots[slot_i].key != 0) continue;  // duplicate
     }
-    surv.push_back(static_cast<std::uint32_t>(i));
-    if (added != nullptr) added->push_back(g);
-    ++data.num_rows;
-    ++num_facts_;
+    CommitRow(data, slot_i, key, packed, h, nullptr);
   }
-
-  // Stage 4 (parallel): materialize the string tuples of the committed
-  // rows, chunked so a small commit costs no pool dispatch (delta rounds
-  // are frequently tens of rows). Interner::NameOf is shared-lock
-  // thread-safe; slot j is written by exactly one task.
-  const std::size_t tuple_base = data.tuples.size();
-  data.tuples.resize(tuple_base + surv.size());
-  constexpr std::size_t kTupleChunk = 1024;
-  ParallelFor(exec, (surv.size() + kTupleChunk - 1) / kTupleChunk,
-              [&](std::size_t chunk) {
-                const std::size_t lo = chunk * kTupleChunk;
-                const std::size_t hi =
-                    std::min(surv.size(), lo + kTupleChunk);
-                for (std::size_t j = lo; j < hi; ++j) {
-                  const std::span<const ValueId> key = rows.subspan(
-                      static_cast<std::size_t>(surv[j]) * arity, arity);
-                  Tuple t;
-                  t.reserve(arity);
-                  for (ValueId v : key) t.push_back(pool_->NameOf(v));
-                  data.tuples[tuple_base + j] = std::move(t);
-                }
-              });
-  return surv.size();
+  FlushProbeCounters(c);
+  return data.num_rows - before;
 }
 
 bool Database::HasRow(RelationId rel, std::span<const ValueId> row) const {
   const RelationData* data = FindRelation(rel);
-  if (data == nullptr) return false;
-  if (layout_ == DatabaseLayout::kFlat) {
-    if (row.size() != data->arity) return false;
-    EpochReadGuard guard(mutation_epoch_.v);
-    if (shard_count_ == 1) {
-      return !LookupFlat(data->shards[0].primary, row).empty();
-    }
-    const FlatIndex& proto = data->shards[0].primary;
-    const std::uint64_t packed = PackedKey(proto.key_width, row);
-    const std::uint64_t h = HashKey(proto, row, packed);
-    const FlatIndex& idx =
-        data->shards[ShardOf(h, static_cast<std::uint32_t>(shard_count_))]
-            .primary;
-    return !LookupFlatHashed(idx, row, packed, h).empty();
-  }
-  return data->set.count(std::vector<ValueId>(row.begin(), row.end())) > 0;
+  if (data == nullptr || row.size() != data->arity) return false;
+  EpochReadGuard guard(mutation_epoch_.v);
+  return !LookupFlat(data->primary, row).empty();
 }
 
 bool Database::HasFact(const std::string& relation, const Tuple& tuple) const {
@@ -855,40 +562,13 @@ std::size_t Database::Arity(RelationId rel) const {
 std::span<const ValueId> Database::Row(RelationId rel, std::size_t r) const {
   const RelationData* data = FindRelation(rel);
   QCONT_CHECK(data != nullptr && r < data->num_rows);
-  if (layout_ == DatabaseLayout::kFlat) {
-    if (data->row_dir.empty()) {
-      return {data->shards[0].arena.data() + r * data->arity, data->arity};
-    }
-    const RowRef ref = data->row_dir[r];
-    return {data->shards[ref.shard].arena.data() +
-                static_cast<std::size_t>(ref.local) * data->arity,
-            data->arity};
-  }
-  return {data->rows[r].data(), data->rows[r].size()};
+  return {data->arena.data() + r * data->arity, data->arity};
 }
 
 std::span<const ValueId> Database::Arena(RelationId rel) const {
   const RelationData* data = FindRelation(rel);
-  if (data == nullptr || layout_ != DatabaseLayout::kFlat) return {};
-  if (!data->row_dir.empty()) return {};  // sharded: no contiguous block
-  return {data->shards[0].arena.data(), data->shards[0].arena.size()};
-}
-
-Database::RowView Database::Rows(RelationId rel) const {
-  RowView v;
-  const RelationData* data = FindRelation(rel);
-  if (data == nullptr || data->num_rows == 0) return v;
-  v.data_ = data;
-  v.arity_ = data->arity;
-  if (layout_ == DatabaseLayout::kLegacy) {
-    v.mode_ = 3;
-  } else if (data->row_dir.empty()) {
-    v.mode_ = 1;
-    v.base_ = data->shards[0].arena.data();
-  } else {
-    v.mode_ = 2;
-  }
-  return v;
+  if (data == nullptr) return {};
+  return data->arena;
 }
 
 std::span<const std::uint32_t> Database::Probe(
@@ -896,21 +576,10 @@ std::span<const std::uint32_t> Database::Probe(
   stats_stripe().probes.fetch_add(1, std::memory_order_relaxed);
   const RelationData* data = FindRelation(rel);
   if (data == nullptr) return {};
-  if (layout_ == DatabaseLayout::kLegacy) return ProbeLegacy(*data, mask, key);
   EpochReadGuard guard(mutation_epoch_.v);
   // Fully-bound probes are served by the eagerly maintained full-row
-  // primary table of the key's own shard: no lazy build, no lock, and the
-  // routing hash doubles as the probe hash.
-  if (IsFullMask(*data, mask)) {
-    if (shard_count_ == 1) return LookupFlat(data->shards[0].primary, key);
-    const FlatIndex& proto = data->shards[0].primary;
-    const std::uint64_t packed = PackedKey(proto.key_width, key);
-    const std::uint64_t h = HashKey(proto, key, packed);
-    const FlatIndex& idx =
-        data->shards[ShardOf(h, static_cast<std::uint32_t>(shard_count_))]
-            .primary;
-    return LookupFlatHashed(idx, key, packed, h);
-  }
+  // primary table: no lazy build, no lock.
+  if (IsFullMask(*data, mask)) return LookupFlat(data->primary, key);
   return LookupFlat(*EnsureFlatIndex(*data, mask), key);
 }
 
@@ -932,23 +601,9 @@ void Database::ProbeMany(RelationId rel, std::uint32_t mask,
     std::fill(out.begin(), out.end(), std::span<const std::uint32_t>());
     return;
   }
-  if (layout_ == DatabaseLayout::kLegacy) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = ProbeLegacy(*data, mask, keys.subspan(i * w, w));
-    }
-    return;
-  }
   EpochReadGuard guard(mutation_epoch_.v);
-  const FlatIndex* idx;
-  if (IsFullMask(*data, mask)) {
-    if (shard_count_ > 1) {
-      ProbeManySharded(*data, keys, w, out);
-      return;
-    }
-    idx = &data->shards[0].primary;
-  } else {
-    idx = EnsureFlatIndex(*data, mask);
-  }
+  const FlatIndex* idx =
+      IsFullMask(*data, mask) ? &data->primary : EnsureFlatIndex(*data, mask);
   if (idx->slots.empty()) {
     std::fill(out.begin(), out.end(), std::span<const std::uint32_t>());
     return;
@@ -994,185 +649,6 @@ void Database::ProbeMany(RelationId rel, std::uint32_t mask,
                        idx->postings.data() + slot.start, slot.len);
   }
   FlushProbeCounters(c);
-}
-
-// Fully-bound ProbeMany over a sharded relation (P > 1): the same staged
-// pipeline as the unsharded path, with each key routed to its owning
-// shard's table by the hash that then probes it. Prefetches cross shard
-// boundaries freely — the lookahead key's shard is known as soon as its
-// hash is.
-void Database::ProbeManySharded(
-    const RelationData& data, std::span<const ValueId> keys, std::uint32_t w,
-    std::span<std::span<const std::uint32_t>> out) const {
-  const std::size_t n = out.size();
-  const auto P = static_cast<std::uint32_t>(shard_count_);
-  const FlatIndex& proto = data.shards[0].primary;  // key_width carrier
-  std::vector<std::uint64_t> hashes(n);
-  std::vector<std::uint64_t> packs(n);
-  std::vector<std::uint32_t> shard_of(n);
-  LocalProbeCounters c;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::span<const ValueId> key = keys.subspan(i * w, w);
-    packs[i] = PackedKey(w, key);
-    hashes[i] = HashKey(proto, key, packs[i]);
-    shard_of[i] = ShardOf(hashes[i], P);
-  }
-  const bool filter = probe_options_.use_filters;
-  const std::size_t dist =
-      std::min<std::size_t>(probe_options_.prefetch_distance, n);
-  if (dist > 0) {
-    stats_stripe().prefetch_batches.fetch_add((n + dist - 1) / dist,
-                                              std::memory_order_relaxed);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + dist < n) {
-      const FlatIndex& ahead = data.shards[shard_of[i + dist]].primary;
-      if (!ahead.slots.empty() &&
-          (!filter || BloomMayContain(ahead.bloom, hashes[i + dist]))) {
-        const std::size_t home = hashes[i + dist] & (ahead.slots.size() - 1);
-        PrefetchRead(ahead.tags.data() + home);
-        PrefetchRead(ahead.slots.data() + home);
-      }
-    }
-    const FlatIndex& idx = data.shards[shard_of[i]].primary;
-    if (idx.slots.empty()) {
-      out[i] = {};
-      continue;
-    }
-    if (filter && !BloomMayContain(idx.bloom, hashes[i])) {
-      ++c.filter_skips;
-      out[i] = {};
-      continue;
-    }
-    const std::span<const ValueId> key = keys.subspan(i * w, w);
-    const std::size_t s = FindSlot(idx, key, packs[i], hashes[i], &c);
-    const FlatIndex::Slot& slot = idx.slots[s];
-    out[i] = (slot.key == 0 || slot.len == 0)
-                 ? std::span<const std::uint32_t>()
-                 : std::span<const std::uint32_t>(
-                       idx.postings.data() + slot.start, slot.len);
-  }
-  FlushProbeCounters(c);
-}
-
-void Database::Reshard(int shards) {
-  QCONT_CHECK_MSG(shards >= 1 && shards <= kMaxShards,
-                  "Reshard: shard count out of range");
-  if (layout_ != DatabaseLayout::kFlat || shards == shard_count_) return;
-  BumpEpoch();
-  const auto P = static_cast<std::uint32_t>(shards);
-  for (RelationData& data : rels_) {
-    const std::size_t nrows = data.num_rows;
-    std::vector<RelShard> fresh(P);
-    for (RelShard& sh : fresh) {
-      sh.primary.key_width = static_cast<std::uint32_t>(data.arity);
-    }
-    if (nrows == 0) {
-      data.shards = std::move(fresh);
-      data.row_dir.clear();
-      continue;
-    }
-    const auto row_at = [&](std::size_t r) -> const ValueId* {
-      if (data.row_dir.empty()) {
-        return data.shards[0].arena.data() + r * data.arity;
-      }
-      const RowRef ref = data.row_dir[r];
-      return data.shards[ref.shard].arena.data() +
-             static_cast<std::size_t>(ref.local) * data.arity;
-    };
-    // Pass 1: hash + route every row, count per-shard loads, and size each
-    // shard's table once from empty — a single build per shard, so
-    // resharding never counts as a probe resize.
-    std::vector<std::uint64_t> hashes(nrows);
-    std::vector<std::uint64_t> packs(nrows);
-    std::vector<std::uint32_t> route(nrows);
-    std::vector<std::size_t> counts(P, 0);
-    const auto w = static_cast<std::uint32_t>(data.arity);
-    for (std::size_t r = 0; r < nrows; ++r) {
-      const std::span<const ValueId> key(row_at(r), data.arity);
-      packs[r] = PackedKey(w, key);
-      hashes[r] = HashKey(fresh[0].primary, key, packs[r]);
-      route[r] = P > 1 ? ShardOf(hashes[r], P) : 0;
-      ++counts[route[r]];
-    }
-    for (std::uint32_t s = 0; s < P; ++s) {
-      if (counts[s] == 0) continue;
-      EnsureFlatCapacity(&fresh[s].primary, counts[s]);
-      fresh[s].arena.reserve(counts[s] * data.arity);
-    }
-    // Pass 2: move rows in global order, keeping their global indices in
-    // the postings (secondary indexes and engine row ids never notice).
-    std::vector<RowRef> new_dir;
-    if (P > 1) new_dir.reserve(nrows);
-    for (std::size_t r = 0; r < nrows; ++r) {
-      const ValueId* row = row_at(r);
-      const std::span<const ValueId> key(row, data.arity);
-      FlatIndex& idx = fresh[route[r]].primary;
-      LocalProbeCounters ignored;  // rebuild scans are not probe signal
-      const std::size_t slot_i =
-          FindSlot(idx, key, packs[r], hashes[r], &ignored);
-      FlatIndex::Slot& slot = idx.slots[slot_i];
-      QCONT_CHECK(slot.key == 0);  // rows are unique by construction
-      if (idx.key_width <= 2) {
-        slot.key = packs[r];
-      } else {
-        const std::uint64_t off = idx.wide_keys.size() / idx.key_width;
-        idx.wide_keys.insert(idx.wide_keys.end(), key.begin(), key.end());
-        slot.key = off + 1;
-      }
-      SetTagAt(idx.tags, idx.slots.size(), slot_i, TagOf(hashes[r]));
-      BloomAdd(idx.bloom, hashes[r]);
-      ++idx.used;
-      slot.start = static_cast<std::uint32_t>(idx.postings.size());
-      slot.len = 1;
-      idx.postings.push_back(static_cast<std::uint32_t>(r));
-      if (P > 1) {
-        new_dir.push_back(
-            {route[r], static_cast<std::uint32_t>(idx.postings.size() - 1)});
-      }
-      fresh[route[r]].arena.insert(fresh[route[r]].arena.end(), row,
-                                   row + data.arity);
-    }
-    for (RelShard& sh : fresh) {
-      sh.primary.rows_indexed = sh.primary.postings.size();
-    }
-    data.shards = std::move(fresh);
-    data.row_dir = std::move(new_dir);
-  }
-  shard_count_ = shards;
-}
-
-DatabaseShardStats Database::shard_stats() const {
-  DatabaseShardStats s;
-  s.shards = shard_count_;
-  const auto P = static_cast<std::size_t>(shard_count_);
-  std::vector<std::uint64_t> loads(P, 0);
-  double max_occ = 0.0;
-  for (const RelationData& data : rels_) {
-    if (layout_ != DatabaseLayout::kFlat) {
-      loads[0] += data.num_rows;
-      continue;
-    }
-    for (std::size_t i = 0; i < data.shards.size() && i < P; ++i) {
-      const FlatIndex& idx = data.shards[i].primary;
-      loads[i] += idx.postings.size();
-      if (!idx.slots.empty()) {
-        max_occ = std::max(max_occ, 100.0 * static_cast<double>(idx.used) /
-                                        static_cast<double>(idx.slots.size()));
-      }
-    }
-  }
-  for (std::uint64_t load : loads) s.rows_total += load;
-  s.rows_max_shard = *std::max_element(loads.begin(), loads.end());
-  s.rows_min_shard = *std::min_element(loads.begin(), loads.end());
-  if (shard_count_ > 1 && s.rows_total > 0) {
-    const double ideal =
-        static_cast<double>(s.rows_total) / static_cast<double>(P);
-    s.imbalance_pct =
-        100.0 * (static_cast<double>(s.rows_max_shard) / ideal - 1.0);
-  }
-  s.max_occupancy_pct = max_occ;
-  return s;
 }
 
 void Database::set_probe_options(const ProbeOptions& options) {
@@ -1222,8 +698,8 @@ std::string Database::ToString() const {
   return out;
 }
 
-Database CanonicalDatabase(const ConjunctiveQuery& cq, DatabaseLayout layout) {
-  Database db(layout);
+Database CanonicalDatabase(const ConjunctiveQuery& cq) {
+  Database db;
   for (const Atom& a : cq.atoms()) {
     Tuple t;
     t.reserve(a.arity());

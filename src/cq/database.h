@@ -22,7 +22,6 @@
 namespace qcont {
 
 struct ObsContext;
-struct ExecContext;
 
 /// A database value. Canonical databases use variable names as values
 /// ("frozen" variables), so values are plain strings.
@@ -40,14 +39,6 @@ inline constexpr ValueId kNoValue = Interner::kMissing;
 using RelationId = SymbolId;
 inline constexpr RelationId kNoRelation = Interner::kMissing;
 
-/// Storage layout of a Database. `kFlat` (the default) stores each
-/// relation's rows in hash-sharded contiguous ValueId arenas with arity
-/// stride and probes through open-addressing tables; `kLegacy` is the
-/// original nested-vector + unordered_map layout, kept reachable as a
-/// differential reference (mirroring the `use_index=false` pattern of the
-/// search engine).
-enum class DatabaseLayout { kFlat, kLegacy };
-
 /// Tuning knobs of the flat probe tables (DESIGN.md §16). Set per database
 /// via `Database::set_probe_options` before the first probe; the benches
 /// sweep them (`bench_probe_kernel`, E2/E9 knob rows). Every setting is a
@@ -55,8 +46,7 @@ enum class DatabaseLayout { kFlat, kLegacy };
 /// whole grid (and across the SIMD/scalar kernel builds).
 struct ProbeOptions {
   /// Probe-table growth threshold: grow when occupied slots exceed this
-  /// percentage of capacity. Clamped to [40, 90]. With shards, the bound
-  /// applies per shard table.
+  /// percentage of capacity. Clamped to [40, 90].
   int max_load_percent = 75;
   /// Tag probe-group width in slots: 16 (one SSE2/NEON vector compare per
   /// group) or 8 (one 64-bit SWAR compare). Values other than 8 become 16.
@@ -83,13 +73,8 @@ struct ProbeOptions {
 /// accounted separately (`tag_hits`/`tag_skips`/`probe_collisions`), and
 /// lookups short-circuited by the Bloom filter still count as probes, with
 /// the skip recorded in `filter_skips`. All counters are deterministic for
-/// a given (database, probe sequence, ProbeOptions, shard count) and
-/// identical between the SIMD and scalar kernel builds and for every
-/// thread count. (Shard count is part of the key: resharding redistributes
-/// rows over per-shard tables and Bloom filters, so the micro-counters —
-/// tag_hits/tag_skips/filter_skips/probe_resizes — may differ between P=1
-/// and P>1 runs of the same probe sequence. The per-key `probes` total
-/// never does.)
+/// a given (database, probe sequence, ProbeOptions) and identical between
+/// the SIMD and scalar kernel builds and for every thread count.
 struct DatabaseIndexStats {
   /// Distinct (relation, mask) indexes built so far. Monotonic per database.
   std::uint64_t indexes_built = 0;
@@ -100,47 +85,22 @@ struct DatabaseIndexStats {
   /// times). Monotonic per database.
   std::uint64_t rows_indexed = 0;
   /// Full key compares that failed during lookups — tag false positives
-  /// plus genuine probe-chain walks (flat layout only; legacy indexes
-  /// report 0). Monotonic.
+  /// plus genuine probe-chain walks. Monotonic.
   std::uint64_t probe_collisions = 0;
-  /// Probe-table capacity rehashes (flat layout only). Monotonic.
+  /// Probe-table capacity rehashes. Monotonic.
   std::uint64_t probe_resizes = 0;
   /// Slots whose tag matched the key's tag and were full-key compared
-  /// during lookups (flat layout only). Monotonic.
+  /// during lookups. Monotonic.
   std::uint64_t tag_hits = 0;
   /// Occupied slots the tag filter rejected without a full key compare
-  /// during lookups — the compares the PR 5 kernel would have run (flat
-  /// layout only). Monotonic.
+  /// during lookups. Monotonic.
   std::uint64_t tag_skips = 0;
   /// Lookups answered "empty" by the per-(relation, mask) Bloom filter
-  /// without touching the slot array (flat layout, filters enabled).
-  /// Monotonic.
+  /// without touching the slot array (filters enabled). Monotonic.
   std::uint64_t filter_skips = 0;
   /// ProbeMany key blocks resolved through the staged pipeline (hash all →
   /// prefetch → resolve in order). Monotonic.
   std::uint64_t prefetch_batches = 0;
-};
-
-/// Snapshot of the hash-shard layout (`Database::shard_stats()`), the
-/// source of the `db.shard.*` gauges. Row counts aggregate over relations:
-/// shard s's load is the total number of rows routed to shard s across
-/// every relation. All fields are deterministic for a given database.
-struct DatabaseShardStats {
-  /// Configured shard count P (1 = unsharded layout).
-  int shards = 1;
-  /// Total rows over all relations (== sum over shards of their loads).
-  std::uint64_t rows_total = 0;
-  /// Rows routed to the most / least loaded shard.
-  std::uint64_t rows_max_shard = 0;
-  std::uint64_t rows_min_shard = 0;
-  /// Skew of the heaviest shard over the ideal rows_total/P split, in
-  /// percent: 0 = perfectly balanced, 100 = the heaviest shard holds twice
-  /// its fair share. 0 when the database is empty or P == 1.
-  double imbalance_pct = 0.0;
-  /// Highest occupancy (used/capacity, percent) over every per-shard
-  /// primary probe table — how close the fullest table is to its next
-  /// growth rebuild (ProbeOptions::max_load_percent).
-  double max_occupancy_pct = 0.0;
 };
 
 /// A finite relational database: a set of facts R(v1,...,vn).
@@ -153,29 +113,18 @@ struct DatabaseShardStats {
 /// should share one pool via the `Database(pool)` constructor so that value
 /// and relation ids are comparable across them.
 ///
-/// ## Flat layout
+/// ## Storage
 ///
-/// A relation's rows live in contiguous ValueId arenas with arity stride,
-/// and every row of a relation has the same arity (checked). The arenas —
-/// and the eagerly maintained full-row "primary" probe table that serves
-/// duplicate detection, `HasRow`, and fully-bound probes — are partitioned
-/// into `shard_count()` hash-shards: a row belongs to the shard selected
-/// by `ShardOf(h, P)` (base/shard.h) where `h` is the row-key hash the
-/// probe tables already use. Rows keep *global* indices in insertion
-/// order regardless of the shard they land in (`row_dir_` maps global →
-/// (shard, local)), so row identity, `Facts` order, and posting contents
-/// are independent of P. At the default P=1 the layout is bit-identical
-/// to the unsharded one. Sharding exists so parallel writers
-/// (`AddRowBatch`) can deduplicate and append shard-locally with no
-/// shared locks; see ARCHITECTURE.md for the full concurrency model and
-/// DESIGN.md §17 for the shard internals.
+/// A relation's rows live in one contiguous ValueId arena with arity
+/// stride, numbered in insertion order, and every row of a relation has
+/// the same arity (checked). An eagerly maintained full-row "primary"
+/// probe table serves duplicate detection, `HasRow`, and fully-bound
+/// probes. See ARCHITECTURE.md for the concurrency model.
 ///
 /// Per relation, hash indexes keyed on subsets of bound positions (a
 /// position bitmask) are built lazily on first probe, memoized per
 /// (relation, mask), and maintained incrementally as facts are added —
-/// `AddFact` never invalidates an index. These secondary indexes stay
-/// relation-global (their postings hold global row indices), so they are
-/// untouched by resharding. Flat indexes are open-addressing tables
+/// `AddFact` never invalidates an index. Indexes are open-addressing tables
 /// (linear probing, power-of-two capacity, packed inline keys for masks
 /// covering ≤2 positions) whose buckets are slices of a shared postings
 /// arena, with a Swiss-table-style 1-byte tag array filtered by one SIMD
@@ -189,8 +138,8 @@ struct DatabaseShardStats {
 /// All const probing entry points (`Probe`, `ProbeMany`, `Facts`, `Row`,
 /// `HasFact`, `HasRow`, `Relations`, `ValueIdOf`, ...) may be called
 /// concurrently from multiple threads *as long as no thread mutates the
-/// database* (`AddFact`, `AddRow`, `AddRowBatch`, `UnionWith`, `Reshard`)
-/// at the same time — the memoized lazy index builds behind `Probe` are
+/// database* (`AddFact`, `AddRow`, `AddRowBatch`, `UnionWith`) at the
+/// same time — the memoized lazy index builds behind `Probe` are
 /// guarded by an internal shared mutex (shared lock on the probe hot
 /// path, exclusive lock only while a missing or stale index is built;
 /// `memo_exclusive_locks()` counts the exclusive acquisitions so tests
@@ -199,24 +148,19 @@ struct DatabaseShardStats {
 /// against each other. This is the contract the parallel engines rely on:
 /// databases are frozen for the duration of a parallel region and merged
 /// at the barrier (`mutation_epoch()` bumps on every mutation, and debug
-/// builds verify the freeze with `EpochReadGuard`). `AddRowBatch` is the
-/// one internally parallel mutator: it owns the database for the duration
-/// of the call and fans its shard-local work out itself.
+/// builds verify the freeze with a read guard on the lock-free probe
+/// paths).
 class Database {
  public:
-  explicit Database(DatabaseLayout layout = DatabaseLayout::kFlat)
-      : pool_(std::make_shared<Interner>()), layout_(layout) {}
-  explicit Database(std::shared_ptr<Interner> pool,
-                    DatabaseLayout layout = DatabaseLayout::kFlat)
-      : pool_(std::move(pool)), layout_(layout) {}
+  Database() : pool_(std::make_shared<Interner>()) {}
+  explicit Database(std::shared_ptr<Interner> pool) : pool_(std::move(pool)) {}
 
   /// The value pool; share it across databases that will be joined together.
   const std::shared_ptr<Interner>& pool() const { return pool_; }
 
-  DatabaseLayout layout() const { return layout_; }
-
-  /// Adds a fact; duplicate facts are ignored. Returns true if new. In the
-  /// flat layout every fact of a relation must have the same arity.
+  /// Adds a fact; duplicate facts are ignored. Returns true if new. Every
+  /// fact of a relation must have the same arity (checked; callers holding
+  /// outside input validate arities first, see `Arity`).
   bool AddFact(const std::string& relation, Tuple tuple);
 
   /// Adds a fact given as pool ids: `rel` must be the pool id of the
@@ -226,34 +170,25 @@ class Database {
   /// `Facts` stays consistent).
   bool AddRow(RelationId rel, std::span<const ValueId> row);
 
-  /// Batched, shard-parallel AddRow: deduplicates `rows` (candidate rows
-  /// laid out consecutively with stride `arity`) against this relation
-  /// *and* against earlier candidates of the same batch (first occurrence
-  /// wins), then commits the survivors in first-occurrence order — the
-  /// exact database state a serial `AddRow` loop over the batch would
-  /// produce, for every shard count and thread count. Appends the global
-  /// row index of each newly added row to `*added` (in commit order) when
-  /// non-null, and returns the number added.
+  /// Batched AddRow: deduplicates `rows` (candidate rows laid out
+  /// consecutively with stride `arity`) against this relation *and*
+  /// against earlier candidates of the same batch (first occurrence wins),
+  /// then commits the survivors in first-occurrence order — the exact
+  /// database state a serial `AddRow` loop over the batch would produce.
+  /// Returns the number added; the survivors are the last that many rows
+  /// of `Arena(rel)`.
   ///
-  /// This is the semi-naive round barrier's merge primitive: with
-  /// `exec.threads > 1` and `shard_count() > 1` the dedup/claim pass runs
-  /// one task per shard (each shard's candidates are claimed into that
-  /// shard's private probe table and arena, no shared locks), global row
-  /// numbering is assigned in one cheap serial pass, and posting/tuple
-  /// materialization fans back out per shard. Counts `rows.size()/arity`
-  /// probes (one dedup lookup per candidate, mirroring the per-key
-  /// ProbeMany contract). Exclusive: the caller must not probe or mutate
-  /// the database concurrently with this call.
+  /// This is the semi-naive round barrier's merge primitive. Counts
+  /// `rows.size()/arity` probes (one dedup lookup per candidate, mirroring
+  /// the per-key ProbeMany contract). Exclusive: the caller must not probe
+  /// or mutate the database concurrently with this call.
   std::size_t AddRowBatch(RelationId rel, std::size_t arity,
-                          std::span<const ValueId> rows,
-                          const ExecContext& exec,
-                          std::vector<std::uint32_t>* added = nullptr);
+                          std::span<const ValueId> rows);
 
   bool HasFact(const std::string& relation, const Tuple& tuple) const;
 
   /// Row-level membership: true iff `row` is a fact of `rel`. Served by
-  /// the owning shard's eagerly maintained full-row table in the flat
-  /// layout (no lock, no allocation).
+  /// the eagerly maintained full-row table (no lock, no allocation).
   bool HasRow(RelationId rel, std::span<const ValueId> row) const;
 
   /// Tuples of `relation` (empty if the relation has no facts).
@@ -276,43 +211,18 @@ class Database {
   /// Number of rows of `rel` (0 if absent or never given a fact here).
   std::size_t NumRows(RelationId rel) const;
 
-  /// Arity of `rel` (0 if absent). In the legacy layout: arity of the first
-  /// row.
+  /// Arity of `rel` (0 if absent).
   std::size_t Arity(RelationId rel) const;
 
-  /// Row `r` of `rel` as a ValueId slice into its shard's arena.
+  /// Row `r` of `rel` as a ValueId slice into its arena.
   /// `r < NumRows(rel)`.
   std::span<const ValueId> Row(RelationId rel, std::size_t r) const;
 
-  /// The whole row arena of `rel` when it is one contiguous block — flat
-  /// layout with `shard_count() == 1` — so hot loops can slice rows
-  /// without a per-row relation lookup: row i is the slice [i*Arity(rel),
-  /// (i+1)*Arity(rel)). Empty in the legacy layout and for sharded
-  /// relations (P > 1 splits the rows over per-shard arenas — use `Rows()`
-  /// for a view that resolves either shape). Stays valid until the next
-  /// AddFact.
+  /// The whole row arena of `rel` (empty if absent), so hot loops can
+  /// slice rows without a per-row relation lookup: row i is the slice
+  /// [i*Arity(rel), (i+1)*Arity(rel)). Stays valid until the next
+  /// mutation.
   std::span<const ValueId> Arena(RelationId rel) const;
-
-  /// Resolved row accessor for hot loops: one relation lookup up front,
-  /// then O(1) row pointers for any layout — contiguous arena (P == 1),
-  /// per-shard arenas via the global→(shard, local) directory (P > 1), or
-  /// the legacy nested vectors. Valid until the next mutation.
-  class RowView {
-   public:
-    RowView() = default;
-    /// Pointer to row r's `Arity(rel)` consecutive values. The P == 1 case
-    /// is pure pointer arithmetic off a base captured at view construction,
-    /// so hot join loops pay no per-row indirection.
-    const ValueId* operator[](std::uint32_t r) const;
-
-   private:
-    friend class Database;
-    const ValueId* base_ = nullptr;  // mode 1: arena base of shard 0
-    const void* data_ = nullptr;     // modes 2/3: RelationData
-    std::size_t arity_ = 0;          // row stride (modes 1/2)
-    int mode_ = 0;  // 0 empty, 1 contiguous, 2 sharded, 3 legacy
-  };
-  RowView Rows(RelationId rel) const;
 
   /// Indices of the rows of `rel` whose values at the positions set in
   /// `mask` equal `key` (key values listed in ascending position order,
@@ -321,7 +231,7 @@ class Database {
   /// the next probe. Only the first 32 positions of a relation are
   /// indexable. `mask` must be nonzero. Safe for concurrent const callers
   /// (see class comment); the returned span stays valid until the next
-  /// AddFact. Returned indices are global row indices at any shard count.
+  /// AddFact.
   std::span<const std::uint32_t> Probe(RelationId rel, std::uint32_t mask,
                                        std::span<const ValueId> key) const;
 
@@ -337,15 +247,11 @@ class Database {
 
   /// Batched probe: `out.size()` keys laid out consecutively in `keys`
   /// (`popcount(mask)` values each); `out[i]` receives the bucket of key i,
-  /// exactly as `Probe(rel, mask, key_i)` would return it. In the flat
-  /// layout the block runs as a staged pipeline: hash every key (answering
-  /// Bloom-filter misses immediately), then resolve in key order with the
-  /// tag group and slot of the key `prefetch_distance` ahead
-  /// software-prefetched, so slot cache lines are in flight before the
-  /// resolving pass needs them. Fully-bound probes of a sharded relation
-  /// route each key to its owning shard's table inside the same pipeline
-  /// (the key's hash both picks the shard and probes its table, so
-  /// sharding adds no extra hashing).
+  /// exactly as `Probe(rel, mask, key_i)` would return it. The block runs
+  /// as a staged pipeline: hash every key (answering Bloom-filter misses
+  /// immediately), then resolve in key order with the tag group and slot
+  /// of the key `prefetch_distance` ahead software-prefetched, so slot
+  /// cache lines are in flight before the resolving pass needs them.
   void ProbeMany(RelationId rel, std::uint32_t mask,
                  std::span<const ValueId> keys,
                  std::span<std::span<const std::uint32_t>> out) const;
@@ -358,27 +264,10 @@ class Database {
   void set_probe_options(const ProbeOptions& options);
   const ProbeOptions& probe_options() const { return probe_options_; }
 
-  /// Repartitions every relation's arena and primary probe table into
-  /// `shards` hash-shards (flat layout; the legacy layout has no shards
-  /// and stays at 1). Global row indices, `Facts` order, the active
-  /// domain, the lazy secondary indexes (global postings), and every
-  /// counter are unchanged — only the physical placement of rows moves,
-  /// so answers are bit-identical before and after. O(total rows). The
-  /// usual mutation rules apply (no concurrent probes). `1 <= shards <=
-  /// kMaxShards`; P=1 restores the exact unsharded layout.
-  void Reshard(int shards);
-
-  /// Configured shard count P (1 unless `Reshard` raised it).
-  int shard_count() const { return shard_count_; }
-
-  /// Deterministic snapshot of the shard layout (row balance, table
-  /// occupancy) — the source of the `db.shard.*` gauges.
-  DatabaseShardStats shard_stats() const;
-
   /// Monotonic mutation counter: bumped once per mutating entry point
-  /// (`AddFact`, `AddRow`, `AddRowBatch`, `Reshard`, `UnionWith`). The
-  /// lock-free probe paths are valid only while this is stable — debug
-  /// builds enforce that with `EpochReadGuard` (base/shard.h); release
+  /// (`AddFact`, `AddRow`, `AddRowBatch`, `UnionWith`). The lock-free
+  /// probe paths are valid only while this is stable — debug builds
+  /// enforce that with a read guard around each lock-free probe; release
   /// callers may snapshot it around a parallel region as a cheap sanity
   /// check.
   std::uint64_t mutation_epoch() const {
@@ -398,8 +287,8 @@ class Database {
   /// Snapshot of the index counters, summed over the internal stripes.
   /// (Counters are striped per worker thread — `kStatStripes` cache-line-
   /// aligned atomic blocks selected by pool worker id — so concurrent
-  /// probes on different shards never contend on one counter cache line;
-  /// hence a by-value snapshot.) See the DatabaseIndexStats comment for
+  /// probes from different workers never contend on one counter cache
+  /// line; hence a by-value snapshot.) See the DatabaseIndexStats comment for
   /// the per-key `probes` contract.
   DatabaseIndexStats index_stats() const {
     DatabaseIndexStats s;
@@ -453,10 +342,10 @@ class Database {
   std::string ToString() const;
 
  private:
-  // One open-addressing probe table (flat layout). Slots hold a nonzero
-  // 64-bit key — the +1-packed values for key widths ≤ 2, or 1 + an index
-  // into `wide_keys` otherwise — plus a (start, len) slice of the shared
-  // `postings` arena listing the matching global row indices in row order.
+  // One open-addressing probe table. Slots hold a nonzero 64-bit key — the
+  // +1-packed values for key widths ≤ 2, or 1 + an index into `wide_keys`
+  // otherwise — plus a (start, len) slice of the shared `postings` arena
+  // listing the matching row indices in row order.
   // key == 0 marks an empty slot; packed keys are nonzero by construction
   // because kNoValue never occurs in a row, so v+1 ≥ 1 for every value.
   //
@@ -469,10 +358,9 @@ class Database {
   // hashes (8 bits per slot, 2 probe bits per key) consulted before the
   // slot array; both are rebuilt alongside the slots on growth.
   //
-  // The same struct serves two roles: each shard's eagerly maintained
+  // The same struct serves two roles: the relation's eagerly maintained
   // full-row primary table (every key has exactly one posting), and the
-  // relation-global lazily built secondary tables keyed on position
-  // subsets.
+  // lazily built secondary tables keyed on position subsets.
   struct FlatIndex {
     struct Slot {
       std::uint64_t key = 0;
@@ -483,38 +371,11 @@ class Database {
     std::vector<std::uint8_t> tags;       // capacity + 16, mirrored head
     std::vector<std::uint64_t> bloom;     // capacity/8 words (pow2)
     std::vector<ValueId> wide_keys;       // key_width values per wide key
-    std::vector<std::uint32_t> postings;  // shared bucket arena (global ids)
+    std::vector<std::uint32_t> postings;  // shared bucket arena (row ids)
     std::uint32_t key_width = 0;
     std::size_t used = 0;          // occupied slots
-    std::size_t rows_indexed = 0;  // rows folded in (catch-up watermark;
-                                   // shard-local count for primaries)
-  };
-
-  // One hash-shard of a relation (flat layout): the shard's slice of the
-  // row arena plus its full-row primary table. A row's shard is
-  // ShardOf(HashKey(row), shard_count_) — see base/shard.h for the
-  // routing contract. Shard membership is a physical property only:
-  // postings and the row directory keep global row indices, so the
-  // logical relation is shard-count-invariant.
-  struct RelShard {
-    std::vector<ValueId> arena;  // this shard's rows, stride = arity
-    FlatIndex primary;           // full-mask dedup/probe table of the shard
-  };
-
-  // Global row index -> physical location, maintained only when
-  // shard_count_ > 1 (P = 1 keeps global == local in shards[0]).
-  struct RowRef {
-    std::uint32_t shard = 0;
-    std::uint32_t local = 0;
-  };
-
-  // One lazily built hash index of the legacy layout: rows keyed by their
-  // values at the masked positions.
-  struct RelIndex {
-    std::unordered_map<std::vector<ValueId>, std::vector<std::uint32_t>,
-                       VectorHash<ValueId>>
-        buckets;
-    std::size_t rows_indexed = 0;
+    std::size_t rows_indexed = 0;  // rows folded in (secondary tables'
+                                   // catch-up watermark)
   };
 
   struct RelationData {
@@ -523,17 +384,9 @@ class Database {
     std::size_t arity = 0;
     std::size_t num_rows = 0;
     std::vector<Tuple> tuples;
-    // Flat layout: the hash-sharded arenas + primary tables (size =
-    // shard_count_ once the first row arrives), the global→(shard, local)
-    // row directory (P > 1 only), and the relation-global lazy per-mask
-    // probe tables.
-    std::vector<RelShard> shards;
-    std::vector<RowRef> row_dir;
+    std::vector<ValueId> arena;  // rows in insertion order, stride = arity
+    FlatIndex primary;           // full-row dedup/probe table
     mutable std::unordered_map<std::uint32_t, FlatIndex> flat_indexes;
-    // Legacy layout: nested rows + hash-set dedup + unordered_map indexes.
-    std::vector<std::vector<ValueId>> rows;  // parallel to `tuples`
-    std::unordered_set<std::vector<ValueId>, VectorHash<ValueId>> set;
-    mutable std::unordered_map<std::uint32_t, RelIndex> indexes;
   };
 
   // Guards the mutable memoized state reachable from const methods (lazy
@@ -624,6 +477,14 @@ class Database {
   // tuple, otherwise it is materialized from the pool.
   bool AddRowInternal(RelationData& data, std::span<const ValueId> row,
                       Tuple* tuple);
+  // Fixes the arity of `data` on its first row, checks it afterwards.
+  static void CheckArity(RelationData& data, std::size_t arity);
+  // Appends `row` as the next row of `data`, claiming the empty primary
+  // slot `slot_i` (found for key hash `h`) — shared tail of AddRowInternal
+  // and AddRowBatch. `tuple` as in AddRowInternal.
+  void CommitRow(RelationData& data, std::size_t slot_i,
+                 std::span<const ValueId> row, std::uint64_t packed,
+                 std::uint64_t h, Tuple* tuple);
 
   // The calling thread's counter stripe (by pool worker id).
   AtomicIndexStats& stats_stripe() const;
@@ -652,33 +513,16 @@ class Database {
                    FlatIndex* idx) const;
   const FlatIndex* EnsureFlatIndex(const RelationData& data,
                                    std::uint32_t mask) const;
-  // Lookup with the key hash already computed (`h = HashKey(idx, key,
-  // packed)`); the sharded paths hash once to both route and probe.
-  std::span<const std::uint32_t> LookupFlatHashed(const FlatIndex& idx,
-                                                  std::span<const ValueId> key,
-                                                  std::uint64_t packed,
-                                                  std::uint64_t h) const;
   std::span<const std::uint32_t> LookupFlat(const FlatIndex& idx,
                                             std::span<const ValueId> key) const;
   // True iff `mask` covers every position of the relation — the probes the
-  // sharded primaries serve.
+  // primary table serves.
   static bool IsFullMask(const RelationData& data, std::uint32_t mask) {
     return data.arity > 0 && data.arity <= 32 &&
            mask == (data.arity == 32 ? ~0u : (1u << data.arity) - 1u);
   }
-  // Sharded full-mask ProbeMany pipeline (P > 1).
-  void ProbeManySharded(const RelationData& data,
-                        std::span<const ValueId> keys, std::uint32_t w,
-                        std::span<std::span<const std::uint32_t>> out) const;
-
-  // Legacy probe path (the original unordered_map implementation).
-  std::span<const std::uint32_t> ProbeLegacy(const RelationData& data,
-                                             std::uint32_t mask,
-                                             std::span<const ValueId> key) const;
 
   std::shared_ptr<Interner> pool_;
-  DatabaseLayout layout_;
-  int shard_count_ = 1;                    // P; see Reshard / base/shard.h
   std::deque<RelationData> rels_;          // stable refs; first-fact order
   std::vector<std::int32_t> rel_slot_;     // pool id -> index in rels_, or -1
   std::vector<RelationId> rel_ids_;        // parallel to rels_
@@ -696,27 +540,9 @@ class Database {
   std::size_t num_facts_ = 0;
 };
 
-inline const ValueId* Database::RowView::operator[](std::uint32_t r) const {
-  switch (mode_) {
-    case 1:  // flat, one contiguous arena (P == 1)
-      return base_ + static_cast<std::size_t>(r) * arity_;
-    case 2: {  // flat, sharded: global -> (shard, local) via the directory
-      const auto* data = static_cast<const Database::RelationData*>(data_);
-      const RowRef ref = data->row_dir[r];
-      return data->shards[ref.shard].arena.data() +
-             static_cast<std::size_t>(ref.local) * arity_;
-    }
-    case 3:  // legacy nested vectors
-      return static_cast<const Database::RelationData*>(data_)->rows[r].data();
-    default:  // empty relation: no row to point at
-      return nullptr;
-  }
-}
-
 /// The canonical database D_theta of a CQ: one fact per atom, with each
 /// variable frozen to a value named after it. Constants keep their name.
-Database CanonicalDatabase(const ConjunctiveQuery& cq,
-                           DatabaseLayout layout = DatabaseLayout::kFlat);
+Database CanonicalDatabase(const ConjunctiveQuery& cq);
 
 /// The tuple of frozen head variables of `cq` (the tuple to look for in the
 /// Chandra-Merlin containment test).

@@ -124,9 +124,8 @@ struct ScanSearcher {
 // Indexed engine: interned value ids, per-relation probe tables on the
 // bound-position subset, and dynamic atom selection by estimated candidate
 // count. All databases must share one value pool. Candidate rows are read
-// as slices of the relation's flat arena (per-row fallback for the legacy
-// layout); probe keys live in a stack buffer, so an atom expansion does
-// not allocate.
+// as slices of the relation's arena; probe keys live in a stack buffer, so
+// an atom expansion does not allocate.
 // ---------------------------------------------------------------------------
 struct IndexedSearcher {
   // One atom position: either a pool-interned constant or a dense-local
@@ -141,7 +140,7 @@ struct IndexedSearcher {
     RelationId rel;  // pool id of the predicate; kNoRelation matches nothing
     std::size_t num_rows;               // frozen-region snapshot
     std::size_t arity;                  // of the stored relation (0 if absent)
-    std::span<const ValueId> arena;     // flat layout only; empty otherwise
+    std::span<const ValueId> arena;     // the relation's rows
     std::vector<Slot> slots;
   };
 
@@ -249,16 +248,6 @@ struct IndexedSearcher {
     return c;
   }
 
-  // Row `r` of the atom's relation: an arena slice in the flat layout, the
-  // per-row accessor otherwise.
-  std::span<const ValueId> RowOf(const AtomInfo& atom, std::uint32_t r) const {
-    if (!atom.arena.empty() || atom.arity == 0) {
-      return atom.arena.subspan(static_cast<std::size_t>(r) * atom.arity,
-                                atom.arity);
-    }
-    return atom.db->Row(atom.rel, r);
-  }
-
   void Recurse(std::size_t depth) {
     if (stopped) return;
     if (depth == atoms.size()) {
@@ -315,7 +304,9 @@ struct IndexedSearcher {
     const AtomInfo& atom = atoms[best];
     used[best] = true;
     std::vector<int> newly_bound;
-    auto try_row = [&](std::span<const ValueId> row) {
+    auto try_row = [&](std::uint32_t r) {
+      const std::span<const ValueId> row = atom.arena.subspan(
+          static_cast<std::size_t>(r) * atom.arity, atom.arity);
       if (row.size() != atom.slots.size()) return;
       if (stats != nullptr) {
         ++stats->atom_attempts;
@@ -356,12 +347,12 @@ struct IndexedSearcher {
     };
     if (best_indexed) {
       for (std::uint32_t r : best_bucket) {
-        try_row(RowOf(atom, r));
+        try_row(r);
         if (stopped) break;
       }
     } else {
       for (std::uint32_t r = 0; r < atom.num_rows; ++r) {
-        try_row(RowOf(atom, r));
+        try_row(r);
         if (stopped) break;
       }
     }

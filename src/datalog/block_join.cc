@@ -146,23 +146,10 @@ void BlockJoinPlan::Execute(const Database& all, const Database& delta,
                             std::size_t* num_rows,
                             HomSearchStats* stats) const {
   QCONT_CHECK(valid_);
-  const std::size_t dn = delta.NumRows(delta_rel_);
-  if (dn == 0) return;
+  if (delta.NumRows(delta_rel_) == 0) return;
   if (delta.Arity(delta_rel_) != delta_arity_) return;
-  const std::span<const ValueId> arena = delta.Arena(delta_rel_);
-  if (!arena.empty()) {
-    Execute(all, arena, delta_arity_, block_rows, out_rows, num_rows, stats);
-    return;
-  }
-  // Legacy layout keeps one vector per row; flatten a temporary copy so
-  // the core loop has one shape.
-  std::vector<ValueId> flat;
-  flat.reserve(dn * delta_arity_);
-  for (std::size_t r = 0; r < dn; ++r) {
-    const std::span<const ValueId> row = delta.Row(delta_rel_, r);
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  Execute(all, flat, delta_arity_, block_rows, out_rows, num_rows, stats);
+  Execute(all, delta.Arena(delta_rel_), delta_arity_, block_rows, out_rows,
+          num_rows, stats);
 }
 
 void BlockJoinPlan::Execute(const Database& all,
@@ -239,14 +226,15 @@ void BlockJoinPlan::Execute(const Database& all,
       all.ProbeMany(step.rel, step.mask, keys,
                     std::span<std::span<const std::uint32_t>>(hits));
       stats->index_probes += fcount;
-      const Database::RowView rows_view = all.Rows(step.rel);
+      const ValueId* arena = all.Arena(step.rel).data();
       next.clear();
       for (std::size_t i = 0; i < fcount; ++i) {
         const ValueId* binding = frontier.data() + i * nv;
         for (const std::uint32_t row_idx : hits[i]) {
           ++stats->index_candidates;
           ++stats->atom_attempts;
-          const ValueId* row = rows_view[row_idx];
+          const ValueId* row =
+              arena + static_cast<std::size_t>(row_idx) * step.arity;
           const std::size_t at = next.size();
           next.insert(next.end(), binding, binding + nv);
           bool ok = true;

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "base/check.h"
-#include "base/shard.h"
 #include "base/thread_pool.h"
 #include "cq/homomorphism.h"
 #include "cq/query.h"
@@ -155,8 +154,8 @@ void MergeSerial(const CompiledRule& cr, FiredRule& fired, Database& all,
 // flattened with stride `arity`, kept in first-touch order. Carries no
 // dedup structure of its own — the round-barrier `Database::AddRowBatch`
 // deduplicates candidates against the database and within the round in one
-// shard-parallel pass (DESIGN.md §17), so between rounds the buffer holds
-// candidates, and after the barrier it holds the committed survivors.
+// pass (DESIGN.md §17), so between rounds the buffer holds candidates, and
+// after the barrier it holds the committed survivors.
 struct DeltaRows {
   RelationId rel = kNoRelation;
   std::uint32_t arity = 0;
@@ -172,14 +171,13 @@ struct DeltaRows {
 // join into block-sized pool tasks (so one wide delta still fans out
 // across workers), block-join them in parallel against the frozen `all`,
 // then commit each head relation's concatenated candidates with one
-// shard-parallel AddRowBatch at the barrier. This skips the per-round
-// Database entirely — no string-tuple materialization on the round path,
-// no second hash insert per derived row — and at P shards the commit
-// claims rows into P independent tables with no shared locks. The derived
-// database (row order, interning order) and all engine counters are
-// bit-identical to the serial AddRow loop for every thread and shard
-// count: tasks are merged in (join, block) order, which is the serial
-// block order, and AddRowBatch commits survivors in candidate order.
+// AddRowBatch at the barrier. This skips the per-round Database entirely —
+// no string-tuple materialization on the round path, no second hash insert
+// per derived row. The derived database (row order, interning order) and
+// all engine counters are bit-identical to the serial AddRow loop for
+// every thread count: tasks are merged in (join, block) order, which is
+// the serial block order, and AddRowBatch commits survivors in candidate
+// order.
 void EvaluateRoundsBuffered(const std::vector<CompiledRule>& compiled,
                             const std::vector<std::vector<BlockJoinPlan>>& plans,
                             const EvalOptions& options, const Database& delta0,
@@ -204,12 +202,8 @@ void EvaluateRoundsBuffered(const std::vector<CompiledRule>& compiled,
     if (n == 0) continue;
     DeltaRows& buf = buffer_for(
         delta, rel, static_cast<std::uint32_t>(delta0.Arity(rel)));
-    const Database::RowView rows = delta0.Rows(rel);
-    buf.rows.reserve(n * buf.arity);
-    for (std::size_t i = 0; i < n; ++i) {
-      const ValueId* row = rows[static_cast<std::uint32_t>(i)];
-      buf.rows.insert(buf.rows.end(), row, row + buf.arity);
-    }
+    const std::span<const ValueId> arena = delta0.Arena(rel);
+    buf.rows.assign(arena.begin(), arena.end());
   }
 
   // A (rule, delta position) join restricted to one block of delta rows.
@@ -226,8 +220,6 @@ void EvaluateRoundsBuffered(const std::vector<CompiledRule>& compiled,
   };
   const std::size_t block = std::max<std::size_t>(options.delta_block_rows, 1);
   std::vector<DeltaTask> tasks;
-  std::vector<std::uint32_t> added;
-  std::vector<ValueId> committed;  // scratch, reused across rounds
   std::size_t total = 0;
   for (const DeltaRows& buf : delta) total += buf.count();
   while (total > 0) {
@@ -270,11 +262,11 @@ void EvaluateRoundsBuffered(const std::vector<CompiledRule>& compiled,
     // Round barrier. Gather each head relation's candidate rows in task
     // order (relations keyed by the first producing task, exactly the
     // first-touch order of the per-task merge this replaces), then commit
-    // each relation with one shard-parallel AddRowBatch: it deduplicates
-    // against the database and within the batch, assigns global row
-    // numbers in candidate order, and reports the committed survivors —
-    // which are precisely the next round's delta.
-    ObsSpan merge_span(options.obs, "datalog/shard_merge", "datalog");
+    // each relation with one AddRowBatch: it deduplicates against the
+    // database and within the batch and appends the survivors, in
+    // candidate order, to the relation's arena — whose tail is therefore
+    // precisely the relation's slice of the next round's delta.
+    ObsSpan merge_span(options.obs, "datalog/merge", "datalog");
     std::vector<DeltaRows> next;
     slot_of.clear();
     std::size_t candidates = 0;
@@ -292,20 +284,10 @@ void EvaluateRoundsBuffered(const std::vector<CompiledRule>& compiled,
     merge_span.AddArg("relations", next.size());
     total = 0;
     for (DeltaRows& buf : next) {
-      added.clear();
-      const std::size_t got =
-          all.AddRowBatch(buf.rel, buf.arity, buf.rows, options.exec, &added);
+      const std::size_t got = all.AddRowBatch(buf.rel, buf.arity, buf.rows);
       if (stats != nullptr) stats->derived_facts += got;
-      // Replace the candidates with the committed survivors (in commit
-      // order) — the relation's slice of the next delta.
-      const Database::RowView view = all.Rows(buf.rel);
-      committed.clear();
-      committed.reserve(added.size() * buf.arity);
-      for (const std::uint32_t g : added) {
-        const ValueId* row = view[g];
-        committed.insert(committed.end(), row, row + buf.arity);
-      }
-      buf.rows.assign(committed.begin(), committed.end());
+      const std::span<const ValueId> arena = all.Arena(buf.rel);
+      buf.rows.assign(arena.end() - got * buf.arity, arena.end());
       total += got;
     }
     round_span.AddArg("delta_facts", total);
@@ -313,22 +295,39 @@ void EvaluateRoundsBuffered(const std::vector<CompiledRule>& compiled,
   }
 }
 
+// The working database inherits the EDB's relations, and a relation has
+// one arity: a program predicate used with another arity than the EDB
+// relation of the same name could never match it, and deriving into it
+// would break that invariant. Reject the clash as the analyzer's QC004.
+Status CheckEdbArities(const DatalogProgram& program, const Database& edb) {
+  auto check = [&](const Atom& atom) -> Status {
+    const RelationId rel = edb.RelationIdOf(atom.predicate());
+    if (edb.NumRows(rel) == 0 || edb.Arity(rel) == atom.arity()) {
+      return Status::Ok();
+    }
+    return InvalidArgumentError(
+        "predicate '" + atom.predicate() +
+        "' used with inconsistent arities (" + std::to_string(atom.arity()) +
+        " in the program, " + std::to_string(edb.Arity(rel)) +
+        " in the database) [QC004]");
+  };
+  for (const Rule& rule : program.rules()) {
+    QCONT_RETURN_IF_ERROR(check(rule.head));
+    for (const Atom& atom : rule.body) QCONT_RETURN_IF_ERROR(check(atom));
+  }
+  return Status::Ok();
+}
+
 Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
                                      const Database& edb,
                                      const EvalOptions& options,
                                      DatalogEvalStats* stats) {
   QCONT_RETURN_IF_ERROR(program.Validate());
+  QCONT_RETURN_IF_ERROR(CheckEdbArities(program, edb));
   ObsSpan eval_span(options.obs, "datalog/eval", "datalog");
   eval_span.AddArg("rules", program.rules().size());
   Database all = edb;
   all.set_obs(options.obs);
-  all.set_probe_options(options.probe);
-  // Physical-only layout change: partition every relation into
-  // options.shards hash-shards so the round-barrier merge can claim rows
-  // shard-parallel. Answers and engine counters do not depend on it.
-  if (options.shards > 1 && all.layout() == DatabaseLayout::kFlat) {
-    all.Reshard(std::min(options.shards, kMaxShards));
-  }
   const std::vector<CompiledRule> compiled = CompileRules(program, all);
   HomSearchOptions hom_options;
   hom_options.use_index = options.use_index;
@@ -355,13 +354,11 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
 
   // Semi-naive: round 0 fires all rules on the EDB; later rounds require at
   // least one body atom to match the previous round's delta. The deltas
-  // share `all`'s value pool (and layout, so differential runs exercise one
-  // layout end to end), so the indexed join spans both databases. Round 0
-  // stays serial: like the naive rounds, each rule sees the facts added by
-  // the rules before it.
-  Database delta(all.pool(), all.layout());
+  // share `all`'s value pool, so the indexed join spans both databases.
+  // Round 0 stays serial: like the naive rounds, each rule sees the facts
+  // added by the rules before it.
+  Database delta(all.pool());
   delta.set_obs(options.obs);
-  delta.set_probe_options(options.probe);
   {
     ObsSpan round_span(options.obs, "datalog/round", "datalog");
     round_span.AddArg("round", round++);
@@ -405,9 +402,8 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
     ObsSpan round_span(options.obs, "datalog/round", "datalog");
     round_span.AddArg("round", round++);
     if (stats != nullptr) ++stats->iterations;
-    Database next_delta(all.pool(), all.layout());
+    Database next_delta(all.pool());
     next_delta.set_obs(options.obs);
-    next_delta.set_probe_options(options.probe);
     // The (rule, delta position) joins of a round are independent: they
     // only read `all` and `delta`, which are frozen until the barrier. Each
     // runs as its own pool task into a private FiredRule; the buffers are
@@ -531,15 +527,6 @@ Result<Database> EvaluateProgram(const DatalogProgram& program,
     metrics->SetGauge("db.probe.tag_skips", idx.tag_skips);
     metrics->SetGauge("db.probe.filter_skips", idx.filter_skips);
     metrics->SetGauge("db.probe.prefetch_batches", idx.prefetch_batches);
-    const DatabaseShardStats sh = (*result).shard_stats();
-    metrics->SetGauge("db.shard.count", static_cast<std::uint64_t>(sh.shards));
-    metrics->SetGauge("db.shard.rows_total", sh.rows_total);
-    metrics->SetGauge("db.shard.rows_max", sh.rows_max_shard);
-    metrics->SetGauge("db.shard.rows_min", sh.rows_min_shard);
-    metrics->SetGauge("db.shard.imbalance_pct",
-                      static_cast<std::uint64_t>(sh.imbalance_pct));
-    metrics->SetGauge("db.shard.occupancy_pct",
-                      static_cast<std::uint64_t>(sh.max_occupancy_pct));
   }
   if (stats != nullptr) stats->Merge(run);
   return result;

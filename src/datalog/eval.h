@@ -83,34 +83,19 @@ struct EvalOptions {
   /// join is submitted to the pool one block at a time, so a round with
   /// one wide delta still fans out across workers.
   std::size_t delta_block_rows = 1024;
-  /// Hash-shard count P of the working database (base/shard.h, DESIGN.md
-  /// §17). The EDB copy is resharded to P before round 0, so the
-  /// round-barrier merge (`Database::AddRowBatch`) claims each round's
-  /// candidate rows into P independent per-shard probe tables and arenas —
-  /// one pool task per shard, no shared locks. P=1 (the default) keeps the
-  /// unsharded layout bit-identical to previous releases. Sharding is
-  /// purely physical: answers, derived databases, and every
-  /// machine-independent engine counter are identical for every P (only
-  /// the probe micro-counters move, see DatabaseIndexStats). Deliberately
-  /// an explicit knob — never derived from `exec.threads` — so the
-  /// determinism suites can sweep threads and shards independently.
-  /// Clamped to [1, kMaxShards]; ignored by the legacy layout.
-  int shards = 1;
-  /// Probe-kernel knobs applied to the working databases (the EDB copy,
-  /// and each round's delta) before evaluation: table load factor, probe
-  /// group width, Bloom-filter gating, prefetch distance.
-  ProbeOptions probe;
   /// Optional observability sinks, borrowed from the caller. Each
   /// EvaluateProgram run emits `datalog/eval`, `datalog/round`,
-  /// `datalog/delta_join` and `datalog/shard_merge` spans plus
-  /// `db/index_build` spans from the working database, publishes its stats
-  /// under `datalog.eval.*`, and snapshots the working database's index
-  /// and shard-layout counters into `db.*` / `db.shard.*` gauges.
+  /// `datalog/delta_join` and `datalog/merge` spans plus `db/index_build`
+  /// spans from the working database, publishes its stats under
+  /// `datalog.eval.*`, and snapshots the working database's index counters
+  /// into `db.*` gauges.
   const ObsContext* obs = nullptr;
 };
 
 /// Computes F^∞(D): the database `edb` extended with all derived
-/// intensional facts, by bottom-up fixpoint. The semi-naive strategy joins
+/// intensional facts, by bottom-up fixpoint. Returns InvalidArgument
+/// (QC004) when a program predicate is used with another arity than the
+/// non-empty `edb` relation of the same name. The semi-naive strategy joins
 /// each rule's delta atom against the delta relation and the remaining
 /// atoms against the full database through the shared per-relation hash
 /// indexes, which are maintained incrementally across rounds.

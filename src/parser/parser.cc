@@ -380,6 +380,17 @@ Result<Database> ParseDatabase(const std::string& text) {
                                   std::to_string(sr.line) + ")");
     }
     QCONT_ASSIGN_OR_RETURN(Atom atom, ToRelationalAtom(sr.head, sr.line));
+    // A relation has one arity (Database checks it); report a clash as the
+    // analyzer's QC004 instead of handing it to the storage layer.
+    const RelationId rel = db.RelationIdOf(atom.predicate());
+    if (db.NumRows(rel) > 0 && db.Arity(rel) != atom.arity()) {
+      return InvalidArgumentError(
+          "predicate '" + atom.predicate() +
+          "' used with inconsistent arities (" +
+          std::to_string(atom.arity()) + " here, " +
+          std::to_string(db.Arity(rel)) + " before) (line " +
+          std::to_string(sr.line) + ") [QC004]");
+    }
     Tuple t;
     for (const Term& term : atom.terms()) {
       t.push_back(term.name());

@@ -91,6 +91,35 @@ TEST(EvalTest, StatsAreReported) {
   EXPECT_GT(stats.derived_facts, 0u);
 }
 
+TEST(EvalTest, ProgramEdbArityClashIsInvalidArgument) {
+  // Stored relations have one arity, so a program predicate that disagrees
+  // with the database is rejected (QC004) instead of aborting: a derived
+  // head (e/2 over e/3) and an extensional body atom (Tc's e/2 over e/3).
+  Database db;
+  db.AddFact("e", {"a", "b", "c"});
+  db.AddFact("f", {"a", "b"});
+  auto head_clash = ParseProgram("e(x,y) :- f(x,y). goal e.");
+  ASSERT_TRUE(head_clash.ok());
+  for (const EvalStrategy strategy :
+       {EvalStrategy::kSemiNaive, EvalStrategy::kNaive}) {
+    for (const DatalogProgram& program : {*head_clash, Tc()}) {
+      auto result = EvaluateGoal(program, db, strategy);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(result.status().message(),
+                "predicate 'e' used with inconsistent arities (2 in the "
+                "program, 3 in the database) [QC004]");
+    }
+  }
+  // Containment evaluates the program over each disjunct's canonical
+  // database, which here has e/3.
+  auto theta = ParseUcq("Q(x,y) :- e(x,y,z).");
+  ASSERT_TRUE(theta.ok());
+  auto contained = UcqContainedInDatalog(*theta, Tc());
+  ASSERT_FALSE(contained.ok());
+  EXPECT_EQ(contained.status().code(), StatusCode::kInvalidArgument);
+}
+
 // Property: semi-naive and naive evaluation derive identical fixpoints.
 TEST(EvalProperty, SemiNaiveEqualsNaive) {
   std::mt19937 rng(987);

@@ -24,14 +24,14 @@ inline SchemaSpec SmallSchema() {
 
 inline SchemaSpec BinarySchema() { return SchemaSpec{{{"a", 2}, {"b", 2}}}; }
 
-/// A random database over `schema` with values v0..v{domain-1}. To build a
-/// flat/legacy pair with identical contents (and identical pool interning
-/// sequences), copy the generator and call this twice with the same copy:
-/// `std::mt19937 rng2 = *rng;` before the first call.
-inline Database RandomDatabase(std::mt19937* rng, const SchemaSpec& schema,
-                               int domain, int facts,
-                               DatabaseLayout layout = DatabaseLayout::kFlat) {
-  Database db(layout);
+/// A random database over `schema` with values v0..v{domain-1}. `Db` is
+/// `Database` or the test oracle `testref::ReferenceDatabase`; to build a
+/// pair with identical contents and insertion order, copy the generator
+/// (`std::mt19937 rng2 = *rng;`) and call this once per type.
+template <typename Db = Database>
+inline Db RandomDatabase(std::mt19937* rng, const SchemaSpec& schema,
+                         int domain, int facts) {
+  Db db;
   for (int i = 0; i < facts; ++i) {
     const auto& [name, arity] = schema.relations[(*rng)() % schema.relations.size()];
     Tuple t;

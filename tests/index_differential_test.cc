@@ -2,6 +2,8 @@
 // (dynamic atom order, per-relation hash indexes) must agree with the
 // pre-index scan engine (static greedy order, full relation scans) on
 // randomized instances, and must never enumerate more candidate tuples.
+// Storage and engines are also checked against the brute-force string
+// reference of tests/reference_database.h.
 
 #include <algorithm>
 #include <random>
@@ -18,6 +20,7 @@
 #include "datalog/eval.h"
 #include "structure/acyclic_eval.h"
 #include "tests/generators.h"
+#include "tests/reference_database.h"
 
 namespace qcont {
 namespace {
@@ -163,294 +166,165 @@ TEST(IndexDifferentialTest, SemiNaiveIndexedNeverScansMoreThanScanEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// Flat vs legacy storage layout. The two layouts are built from identical
-// insertion sequences (copied generator), so their pools intern the same ids
-// in the same order and every engine must behave bit-identically on top of
-// them: same answers *and* same engine-level counters (the db-level index
-// counters legitimately differ — the flat layout serves full-row probes from
-// its eagerly maintained primary table — and are not compared).
+// Storage and engines against the test-only reference (tests/
+// reference_database.h): the same random facts are loaded into a Database
+// and into the string-tuple oracle, and every engine reading the Database
+// must produce the answers the oracle's brute-force evaluation produces.
 // ---------------------------------------------------------------------------
 
-std::pair<Database, Database> LayoutPair(std::mt19937* rng,
-                                         const testgen::SchemaSpec& schema,
-                                         int domain, int facts) {
+std::pair<Database, testref::ReferenceDatabase> ReferencePair(
+    std::mt19937* rng, const testgen::SchemaSpec& schema, int domain,
+    int facts) {
   std::mt19937 rng2 = *rng;
-  Database flat =
-      testgen::RandomDatabase(rng, schema, domain, facts, DatabaseLayout::kFlat);
-  Database legacy = testgen::RandomDatabase(&rng2, schema, domain, facts,
-                                            DatabaseLayout::kLegacy);
-  return {std::move(flat), std::move(legacy)};
+  Database db = testgen::RandomDatabase(rng, schema, domain, facts);
+  testref::ReferenceDatabase ref =
+      testgen::RandomDatabase<testref::ReferenceDatabase>(&rng2, schema,
+                                                          domain, facts);
+  return {std::move(db), std::move(ref)};
 }
 
-void ExpectStatsEqual(const HomSearchStats& a, const HomSearchStats& b,
-                      int trial) {
-  EXPECT_EQ(a.atom_attempts, b.atom_attempts) << "trial " << trial;
-  EXPECT_EQ(a.backtracks, b.backtracks) << "trial " << trial;
-  EXPECT_EQ(a.index_probes, b.index_probes) << "trial " << trial;
-  EXPECT_EQ(a.index_candidates, b.index_candidates) << "trial " << trial;
-  EXPECT_EQ(a.scan_candidates, b.scan_candidates) << "trial " << trial;
-}
-
-TEST(LayoutDifferentialTest, HomSearchAgreesWithIdenticalStats) {
+TEST(ReferenceDifferentialTest, HomSearchMatchesReference) {
   std::mt19937 rng(20260807);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 40; ++trial) {
-    auto [flat, legacy] = LayoutPair(&rng, schema, 5, 24);
+    auto [db, ref] = ReferencePair(&rng, schema, 5, 24);
     ConjunctiveQuery cq = testgen::RandomCq(&rng, schema, 4, 4, 2);
-    HomSearchStats flat_stats, legacy_stats;
-    EXPECT_EQ(Sorted(EvaluateCq(cq, flat, &flat_stats, kIndexed)),
-              Sorted(EvaluateCq(cq, legacy, &legacy_stats, kIndexed)))
+    const std::vector<Tuple> want = testref::EvaluateCq(cq, ref);
+    EXPECT_EQ(Sorted(EvaluateCq(cq, db, nullptr, kIndexed)), want)
         << "trial " << trial;
-    ExpectStatsEqual(flat_stats, legacy_stats, trial);
+    EXPECT_EQ(Sorted(EvaluateCq(cq, db, nullptr, kScan)), want)
+        << "trial " << trial;
   }
 }
 
-TEST(LayoutDifferentialTest, SemiNaiveEvalAgreesAcrossLayoutsAndThreads) {
+TEST(ReferenceDifferentialTest, SemiNaiveEvalMatchesReferenceAcrossThreads) {
   std::mt19937 rng(424243);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 12; ++trial) {
-    auto [flat, legacy] = LayoutPair(&rng, schema, 4, 12);
+    auto [edb, ref] = ReferencePair(&rng, schema, 4, 12);
     DatalogProgram program = testgen::RandomLinearProgram(&rng, schema, 2);
-    std::vector<std::vector<Tuple>> goals;
-    std::vector<DatalogEvalStats> stats;
-    for (const Database* edb : {&flat, &legacy}) {
+    const std::vector<Tuple> want = testref::EvaluateGoal(program, ref);
+    for (bool use_index : {true, false}) {
       for (int threads : {1, 8}) {
         EvalOptions options;
+        options.use_index = use_index;
         options.exec = ExecContext{.threads = threads, .stats = nullptr};
-        DatalogEvalStats s;
-        auto goal = EvaluateGoal(program, *edb, options, &s);
+        auto goal = EvaluateGoal(program, edb, options);
         ASSERT_TRUE(goal.ok()) << "trial " << trial;
-        goals.push_back(*goal);
-        stats.push_back(s);
+        EXPECT_EQ(*goal, want) << "trial " << trial << " use_index "
+                               << use_index << " threads " << threads;
       }
-    }
-    for (std::size_t i = 1; i < goals.size(); ++i) {
-      EXPECT_EQ(goals[0], goals[i]) << "trial " << trial << " run " << i;
-      EXPECT_EQ(stats[0].iterations, stats[i].iterations) << "trial " << trial;
-      EXPECT_EQ(stats[0].rule_firings, stats[i].rule_firings)
-          << "trial " << trial << " run " << i;
-      EXPECT_EQ(stats[0].derived_facts, stats[i].derived_facts)
-          << "trial " << trial << " run " << i;
-      ExpectStatsEqual(stats[0].hom, stats[i].hom, trial);
     }
   }
 }
 
-TEST(LayoutDifferentialTest, YannakakisAgreesWithIdenticalStats) {
+TEST(ReferenceDifferentialTest, YannakakisMatchesReference) {
   std::mt19937 rng(777001);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 30; ++trial) {
-    auto [flat, legacy] = LayoutPair(&rng, schema, 5, 20);
+    auto [db, ref] = ReferencePair(&rng, schema, 5, 20);
     ConjunctiveQuery cq = testgen::RandomAcyclicCq(&rng, schema, 4, 1);
-    YannakakisStats flat_sat, legacy_sat;
-    auto sat_flat = AcyclicSatisfiable(cq, flat, {}, &flat_sat);
-    auto sat_legacy = AcyclicSatisfiable(cq, legacy, {}, &legacy_sat);
-    ASSERT_TRUE(sat_flat.ok() && sat_legacy.ok()) << "trial " << trial;
-    EXPECT_EQ(*sat_flat, *sat_legacy) << "trial " << trial;
-    EXPECT_EQ(flat_sat.semijoins, legacy_sat.semijoins) << "trial " << trial;
-    EXPECT_EQ(flat_sat.tuples_scanned, legacy_sat.tuples_scanned)
-        << "trial " << trial;
-    EXPECT_EQ(flat_sat.index_probes, legacy_sat.index_probes)
-        << "trial " << trial;
-
-    YannakakisStats flat_eval, legacy_eval;
-    auto eval_flat = EvaluateAcyclicCq(cq, flat, &flat_eval);
-    auto eval_legacy = EvaluateAcyclicCq(cq, legacy, &legacy_eval);
-    ASSERT_TRUE(eval_flat.ok() && eval_legacy.ok()) << "trial " << trial;
-    EXPECT_EQ(Sorted(*eval_flat), Sorted(*eval_legacy)) << "trial " << trial;
-    EXPECT_EQ(flat_eval.semijoins, legacy_eval.semijoins) << "trial " << trial;
-    EXPECT_EQ(flat_eval.tuples_scanned, legacy_eval.tuples_scanned)
-        << "trial " << trial;
-    EXPECT_EQ(flat_eval.index_probes, legacy_eval.index_probes)
-        << "trial " << trial;
+    const std::vector<Tuple> want = testref::EvaluateCq(cq, ref);
+    auto sat = AcyclicSatisfiable(cq, db);
+    ASSERT_TRUE(sat.ok()) << "trial " << trial;
+    EXPECT_EQ(*sat, !want.empty()) << "trial " << trial;
+    auto eval = EvaluateAcyclicCq(cq, db);
+    ASSERT_TRUE(eval.ok()) << "trial " << trial;
+    EXPECT_EQ(Sorted(*eval), want) << "trial " << trial;
   }
 }
 
-TEST(LayoutDifferentialTest, FactsAndDomainAgreeAcrossLayouts) {
+TEST(ReferenceDifferentialTest, FactsDomainAndProbesMatchReference) {
   std::mt19937 rng(90909);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 20; ++trial) {
-    auto [flat, legacy] = LayoutPair(&rng, schema, 4, 30);
-    ASSERT_EQ(flat.NumFacts(), legacy.NumFacts()) << "trial " << trial;
-    ASSERT_EQ(flat.Relations(), legacy.Relations()) << "trial " << trial;
-    EXPECT_EQ(flat.ActiveDomain(), legacy.ActiveDomain()) << "trial " << trial;
-    for (const std::string& rel : flat.Relations()) {
-      EXPECT_EQ(flat.Facts(rel), legacy.Facts(rel)) << "trial " << trial;
-      const RelationId id = flat.RelationIdOf(rel);
-      ASSERT_EQ(id, legacy.RelationIdOf(rel)) << "trial " << trial;
-      ASSERT_EQ(flat.NumRows(id), legacy.NumRows(id)) << "trial " << trial;
-      for (std::size_t r = 0; r < flat.NumRows(id); ++r) {
-        std::span<const ValueId> row = flat.Row(id, r);
-        EXPECT_TRUE(std::equal(row.begin(), row.end(),
-                               legacy.Row(id, r).begin(),
-                               legacy.Row(id, r).end()))
-            << "trial " << trial;
-        EXPECT_TRUE(legacy.HasRow(id, row)) << "trial " << trial;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Hash-sharded storage (DESIGN.md §17). Sharding is purely physical: for
-// every shard count P — including non-power-of-two — answers, derived
-// databases, and every engine-level counter must match the legacy layout
-// and the unsharded flat layout exactly. P=1 is additionally bit-identical
-// to previous releases (same arenas, same probe tables).
-// ---------------------------------------------------------------------------
-
-TEST(LayoutDifferentialTest, ShardedSemiNaiveAgreesWithLegacyExactly) {
-  std::mt19937 rng(8081);
-  const testgen::SchemaSpec schema = testgen::SmallSchema();
-  for (int trial = 0; trial < 8; ++trial) {
-    auto [flat, legacy] = LayoutPair(&rng, schema, 4, 14);
-    DatalogProgram program = testgen::RandomLinearProgram(&rng, schema, 2);
-    std::vector<std::vector<Tuple>> goals;
-    std::vector<DatalogEvalStats> stats;
-    // The legacy run is the oracle; the flat runs sweep the full
-    // (shards, threads) grid, including the non-power-of-two P=3.
-    for (const Database* edb : {&legacy, &flat}) {
-      for (int shards : {1, 3, 16}) {
-        if (edb->layout() == DatabaseLayout::kLegacy && shards != 1) continue;
-        for (int threads : {1, 8}) {
-          EvalOptions options;
-          options.exec = ExecContext{.threads = threads, .stats = nullptr};
-          options.shards = shards;
-          DatalogEvalStats s;
-          auto goal = EvaluateGoal(program, *edb, options, &s);
-          ASSERT_TRUE(goal.ok()) << "trial " << trial;
-          goals.push_back(*goal);
-          stats.push_back(s);
+    auto [db, ref] = ReferencePair(&rng, schema, 4, 30);
+    ASSERT_EQ(db.NumFacts(), ref.NumFacts()) << "trial " << trial;
+    ASSERT_EQ(db.Relations(), ref.Relations()) << "trial " << trial;
+    EXPECT_EQ(db.ActiveDomain(), ref.ActiveDomain()) << "trial " << trial;
+    for (const std::string& rel : db.Relations()) {
+      const std::vector<Tuple>& facts = ref.Facts(rel);
+      EXPECT_EQ(db.Facts(rel), facts) << "trial " << trial;
+      const RelationId id = db.RelationIdOf(rel);
+      ASSERT_EQ(db.NumRows(id), facts.size()) << "trial " << trial;
+      const std::size_t arity = db.Arity(id);
+      for (std::size_t r = 0; r < facts.size(); ++r) {
+        const std::span<const ValueId> row = db.Row(id, r);
+        ASSERT_EQ(row.size(), facts[r].size()) << "trial " << trial;
+        for (std::size_t p = 0; p < row.size(); ++p) {
+          EXPECT_EQ(db.ValueName(row[p]), facts[r][p]) << "trial " << trial;
+        }
+        EXPECT_TRUE(db.HasRow(id, row)) << "trial " << trial;
+        // Every nonempty position subset of the row as a probe key.
+        for (std::uint32_t mask = 1; mask < (1u << arity); ++mask) {
+          std::vector<ValueId> key;
+          Tuple key_names;
+          for (std::size_t p = 0; p < arity; ++p) {
+            if ((mask >> p & 1u) == 0) continue;
+            key.push_back(row[p]);
+            key_names.push_back(facts[r][p]);
+          }
+          const auto got = db.Probe(id, mask, key);
+          EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                    ref.Probe(rel, mask, key_names))
+              << "trial " << trial << " mask " << mask;
         }
       }
     }
-    for (std::size_t i = 1; i < goals.size(); ++i) {
-      EXPECT_EQ(goals[0], goals[i]) << "trial " << trial << " run " << i;
-      EXPECT_EQ(stats[0].iterations, stats[i].iterations)
-          << "trial " << trial << " run " << i;
-      EXPECT_EQ(stats[0].rule_firings, stats[i].rule_firings)
-          << "trial " << trial << " run " << i;
-      EXPECT_EQ(stats[0].derived_facts, stats[i].derived_facts)
-          << "trial " << trial << " run " << i;
-      ExpectStatsEqual(stats[0].hom, stats[i].hom, trial);
-    }
   }
 }
 
-TEST(LayoutDifferentialTest, ReshardPreservesRowsOrderAndProbes) {
-  std::mt19937 rng(16061);
-  const testgen::SchemaSpec schema = testgen::SmallSchema();
-  for (int trial = 0; trial < 10; ++trial) {
-    Database base = testgen::RandomDatabase(&rng, schema, 5, 40);
-    for (int shards : {1, 3, 16}) {
-      Database sharded = base;  // copied pool: ids comparable across the two
-      sharded.Reshard(shards);
-      EXPECT_EQ(sharded.shard_count(), shards);
-      ASSERT_EQ(sharded.NumFacts(), base.NumFacts()) << "trial " << trial;
-      EXPECT_EQ(sharded.ActiveDomain(), base.ActiveDomain());
-      for (const std::string& rel : base.Relations()) {
-        EXPECT_EQ(sharded.Facts(rel), base.Facts(rel)) << "trial " << trial;
-        const RelationId id = base.RelationIdOf(rel);
-        ASSERT_EQ(sharded.NumRows(id), base.NumRows(id));
-        const std::size_t arity = base.Arity(id);
-        const std::uint32_t mask =
-            arity >= 32 ? ~0u : ((1u << arity) - 1u);
-        const Database::RowView rows = sharded.Rows(id);
-        for (std::size_t r = 0; r < base.NumRows(id); ++r) {
-          // Global row numbering survives resharding bit for bit.
-          const std::span<const ValueId> row = base.Row(id, r);
-          EXPECT_TRUE(std::equal(row.begin(), row.end(), rows[r]))
-              << "trial " << trial << " P=" << shards << " row " << r;
-          EXPECT_TRUE(sharded.HasRow(id, row)) << "trial " << trial;
-          // A full-mask probe routed to the owning shard returns the same
-          // global posting the unsharded table returns.
-          const auto hits = sharded.Probe(id, mask, row);
-          const auto base_hits = base.Probe(id, mask, row);
-          EXPECT_TRUE(std::equal(hits.begin(), hits.end(), base_hits.begin(),
-                                 base_hits.end()))
-              << "trial " << trial << " P=" << shards << " row " << r;
-        }
-      }
-      const DatabaseShardStats sh = sharded.shard_stats();
-      EXPECT_EQ(sh.shards, shards);
-      EXPECT_EQ(sh.rows_total, base.NumFacts());
-      EXPECT_GE(sh.rows_max_shard, sh.rows_min_shard);
-    }
-  }
-}
-
-TEST(LayoutDifferentialTest, ShardedGrowthPastLoadKeepsEveryRowProbeable) {
-  // Start sharded with near-empty tables, then append far past the ¾ load
-  // point so every shard's probe table rebuilds several times mid-stream;
-  // membership, postings, and the balance snapshot must stay exact.
-  Database sharded;
-  Database plain;
-  for (Database* db : {&sharded, &plain}) {
-    db->AddFact("E", {"n0", "n1"});
-  }
-  sharded.Reshard(3);
+TEST(ReferenceDifferentialTest, GrowthPastLoadKeepsEveryRowProbeable) {
+  // Append far past the ¾ load point so the primary and mask-1 probe
+  // tables rebuild several times mid-stream; membership and postings must
+  // stay exact.
+  Database db;
   const int kRows = 2000;
-  for (int i = 1; i < kRows; ++i) {
+  for (int i = 0; i < kRows; ++i) {
     const Tuple t = {"n" + std::to_string(i), "n" + std::to_string(i + 1)};
-    ASSERT_TRUE(sharded.AddFact("E", t));
-    ASSERT_TRUE(plain.AddFact("E", t));
-    ASSERT_FALSE(sharded.AddFact("E", t));  // dup routed to the same shard
+    ASSERT_TRUE(db.AddFact("E", t));
+    ASSERT_FALSE(db.AddFact("E", t));
   }
-  EXPECT_EQ(sharded.NumFacts(), plain.NumFacts());
-  EXPECT_EQ(sharded.Facts("E"), plain.Facts("E"));
-  const RelationId id = sharded.RelationIdOf("E");
-  ASSERT_EQ(sharded.NumRows(id), static_cast<std::size_t>(kRows));
-  for (std::size_t r = 0; r < sharded.NumRows(id); ++r) {
-    const std::span<const ValueId> row = plain.Row(id, r);
-    EXPECT_TRUE(std::equal(row.begin(), row.end(), sharded.Row(id, r).begin(),
-                           sharded.Row(id, r).end()));
-    const auto hits = sharded.Probe(id, 0x3u, row);
-    ASSERT_EQ(hits.size(), 1u) << "row " << r;
-    EXPECT_EQ(hits[0], static_cast<std::uint32_t>(r));
+  const RelationId id = db.RelationIdOf("E");
+  ASSERT_EQ(db.NumRows(id), static_cast<std::size_t>(kRows));
+  for (std::size_t r = 0; r < db.NumRows(id); ++r) {
+    const std::span<const ValueId> row = db.Row(id, r);
+    for (const std::uint32_t mask : {1u, 3u}) {
+      const auto hits = db.Probe(id, mask, row.first(mask == 1u ? 1 : 2));
+      ASSERT_EQ(hits.size(), 1u) << "row " << r << " mask " << mask;
+      EXPECT_EQ(hits[0], static_cast<std::uint32_t>(r));
+    }
   }
-  const DatabaseShardStats sh = sharded.shard_stats();
-  EXPECT_EQ(sh.shards, 3);
-  EXPECT_EQ(sh.rows_total, static_cast<std::uint64_t>(kRows));
-  EXPECT_GT(sh.rows_min_shard, 0u);  // splitmix64 spreads a 2000-row chain
-  // No shard's table is past its growth threshold.
-  EXPECT_LT(sh.max_occupancy_pct, 100.0);
+  EXPECT_GT(db.index_stats().probe_resizes, 0u);
 }
 
-TEST(LayoutDifferentialTest, ProbeOnlyWorkloadTakesNoExclusiveLocks) {
+TEST(ReferenceDifferentialTest, ProbeOnlyWorkloadTakesNoExclusiveLocks) {
   // Regression test for the lock-free read contract (ARCHITECTURE.md):
   // once a database is frozen, concurrent full-mask probes touch no
-  // exclusive lock — they are served entirely by the per-shard primary
-  // tables. Runs under the TSAN CI leg, which would also flag any data
-  // race the counter misses.
+  // exclusive lock — they are served entirely by the primary table. Runs
+  // under the TSAN CI leg, which would also flag any data race the
+  // counter misses.
   std::mt19937 rng(515151);
   const testgen::SchemaSpec schema = testgen::BinarySchema();
-  for (int shards : {1, 3}) {
-    Database db = testgen::RandomDatabase(&rng, schema, 6, 200);
-    if (shards > 1) db.Reshard(shards);
-    const RelationId id = db.RelationIdOf(db.Relations().front());
-    const std::size_t n = db.NumRows(id);
-    ASSERT_GT(n, 0u);
-    std::vector<ValueId> keys;
+  Database db = testgen::RandomDatabase(&rng, schema, 6, 200);
+  const RelationId id = db.RelationIdOf(db.Relations().front());
+  const std::size_t n = db.NumRows(id);
+  ASSERT_GT(n, 0u);
+  const std::span<const ValueId> keys = db.Arena(id);
+  const std::uint64_t locks_before = db.memo_exclusive_locks();
+  const std::uint64_t epoch_before = db.mutation_epoch();
+  ExecContext ctx{.threads = 4, .stats = nullptr};
+  ParallelFor(ctx, 8, [&](std::size_t) {
+    std::vector<std::span<const std::uint32_t>> hits(n);
+    db.ProbeMany(id, 0x3u, keys,
+                 std::span<std::span<const std::uint32_t>>(hits));
     for (std::size_t r = 0; r < n; ++r) {
-      const std::span<const ValueId> row = db.Row(id, r);
-      keys.insert(keys.end(), row.begin(), row.end());
+      ASSERT_EQ(hits[r].size(), 1u);
     }
-    const std::uint64_t locks_before = db.memo_exclusive_locks();
-    const std::uint64_t epoch_before = db.mutation_epoch();
-    ExecContext ctx{.threads = 4, .stats = nullptr};
-    ParallelFor(ctx, 8, [&](std::size_t) {
-      std::vector<std::span<const std::uint32_t>> hits(n);
-      db.ProbeMany(id, 0x3u, keys,
-                   std::span<std::span<const std::uint32_t>>(hits));
-      for (std::size_t r = 0; r < n; ++r) {
-        ASSERT_EQ(hits[r].size(), 1u);
-      }
-    });
-    EXPECT_EQ(db.memo_exclusive_locks(), locks_before)
-        << "a probe-only workload acquired an exclusive lock (P=" << shards
-        << ")";
-    EXPECT_EQ(db.mutation_epoch(), epoch_before);
-  }
+  });
+  EXPECT_EQ(db.memo_exclusive_locks(), locks_before)
+      << "a probe-only workload acquired an exclusive lock";
+  EXPECT_EQ(db.mutation_epoch(), epoch_before);
 }
 
 }  // namespace

@@ -82,6 +82,17 @@ TEST(ParserTest, DatabaseRejectsRules) {
   EXPECT_FALSE(ParseDatabase("p(x) :- e(x,y).").ok());
 }
 
+TEST(ParserTest, DatabaseRejectsMixedArities) {
+  // A relation has one arity; the clash is reported like the analyzer's
+  // QC004 for programs, with the offending line.
+  auto db = ParseDatabase("e(a,b).\ne(a,b,c).");
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.status().message(),
+            "predicate 'e' used with inconsistent arities (3 here, 2 before) "
+            "(line 2) [QC004]");
+}
+
 TEST(ParserTest, RegexUnterminated) {
   EXPECT_FALSE(ParseUC2rpq("Q(x,y) :- [a (x,y).").ok());
 }

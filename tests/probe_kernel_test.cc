@@ -2,8 +2,9 @@
 // (DESIGN.md §16): the vector group compare must agree bit-for-bit with
 // the scalar SWAR reference, probes must agree with a naive row scan
 // across the whole knob grid (load factor × group width × filters), the
-// probes counter must bump once per key, and the block-at-a-time delta
-// join must derive exactly what the recursive engine derives — with
+// probes counter must bump once per key, AddRowBatch must leave exactly
+// what a serial AddRow loop leaves, and the block-at-a-time delta join
+// must derive exactly what the recursive engine derives — with
 // thread-count-invariant counters.
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "cq/database.h"
 #include "datalog/eval.h"
 #include "tests/generators.h"
+#include "tests/reference_database.h"
 
 namespace qcont {
 namespace {
@@ -61,28 +63,6 @@ TEST(SimdKernelTest, MatchBytesMatchesPositionByPosition) {
   }
 }
 
-// Naive reference: the row indices whose masked positions equal `key`, in
-// insertion order — exactly the postings contract of Database::Probe.
-std::vector<std::uint32_t> ScanReference(const Database& db, RelationId rel,
-                                         std::uint32_t mask,
-                                         std::span<const ValueId> key) {
-  std::vector<std::uint32_t> out;
-  for (std::size_t r = 0; r < db.NumRows(rel); ++r) {
-    const std::span<const ValueId> row = db.Row(rel, r);
-    std::size_t k = 0;
-    bool match = true;
-    for (std::uint32_t p = 0; mask >> p != 0; ++p) {
-      if ((mask >> p & 1u) == 0) continue;
-      if (p >= row.size() || row[p] != key[k++]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) out.push_back(static_cast<std::uint32_t>(r));
-  }
-  return out;
-}
-
 TEST(ProbeKernelTest, ProbeMatchesScanReferenceAcrossKnobGrid) {
   for (const int load : {40, 75, 90}) {
     for (const int width : {8, 16}) {
@@ -92,7 +72,7 @@ TEST(ProbeKernelTest, ProbeMatchesScanReferenceAcrossKnobGrid) {
         opts.max_load_percent = load;
         opts.group_width = width;
         opts.use_filters = filters;
-        Database db(DatabaseLayout::kFlat);
+        Database db;
         db.set_probe_options(opts);
         const int domain = 12;
         for (int i = 0; i < 300; ++i) {
@@ -118,7 +98,7 @@ TEST(ProbeKernelTest, ProbeMatchesScanReferenceAcrossKnobGrid) {
             const std::size_t w = std::popcount(mask);
             const std::span<const ValueId> k(key, w);
             const auto got = db.Probe(e, mask, k);
-            const auto want = ScanReference(db, e, mask, k);
+            const auto want = testref::ScanReference(db, e, mask, k);
             ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
                       want)
                 << "load=" << load << " width=" << width
@@ -127,7 +107,7 @@ TEST(ProbeKernelTest, ProbeMatchesScanReferenceAcrossKnobGrid) {
           const ValueId ku[1] = {a};
           const auto got = db.Probe(u, 1u, ku);
           ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
-                    ScanReference(db, u, 1u, ku));
+                    testref::ScanReference(db, u, 1u, ku));
         }
       }
     }
@@ -137,7 +117,7 @@ TEST(ProbeKernelTest, ProbeMatchesScanReferenceAcrossKnobGrid) {
 TEST(ProbeKernelTest, ProbeManyMatchesSingleProbes) {
   std::mt19937 rng(909);
   ProbeOptions opts;
-  Database db(DatabaseLayout::kFlat);
+  Database db;
   db.set_probe_options(opts);
   for (int i = 0; i < 400; ++i) {
     db.AddFact("e", Tuple{"v" + std::to_string(rng() % 20),
@@ -168,7 +148,7 @@ TEST(ProbeKernelTest, ProbesCounterBumpsOncePerKey) {
     opts.use_filters = filters;
     // High load forces collision chains: slot visits far exceed keys.
     opts.max_load_percent = 90;
-    Database db(DatabaseLayout::kFlat);
+    Database db;
     db.set_probe_options(opts);
     for (int i = 0; i < 500; ++i) {
       db.AddFact("e", Tuple{"v" + std::to_string(rng() % 30),
@@ -208,7 +188,7 @@ TEST(ProbeKernelTest, CountersDeterministicAcrossRuns) {
       std::mt19937 rng(606);
       ProbeOptions opts;
       opts.group_width = width;
-      Database db(DatabaseLayout::kFlat);
+      Database db;
       db.set_probe_options(opts);
       for (int i = 0; i < 300; ++i) {
         db.AddFact("e", Tuple{"v" + std::to_string(rng() % 15),
@@ -226,6 +206,95 @@ TEST(ProbeKernelTest, CountersDeterministicAcrossRuns) {
     EXPECT_EQ(runs[0].tag_skips, runs[1].tag_skips);
     EXPECT_EQ(runs[0].probe_collisions, runs[1].probe_collisions);
     EXPECT_EQ(runs[0].filter_skips, runs[1].filter_skips);
+  }
+}
+
+// AddRowBatch is the round barrier's commit: for every batch size —
+// including the sizes around the 1024-row block boundary and well past it —
+// and for packed (arity ≤ 2) and wide (arity 3) primary keys, it must leave
+// exactly the database a serial AddRow loop leaves, with duplicates inside
+// the batch and against rows already present, and count one probe per
+// candidate.
+TEST(ProbeKernelTest, AddRowBatchEqualsSerialAddRowLoop) {
+  for (const std::size_t arity : {1, 2, 3}) {
+    for (const std::size_t n : {1, 1023, 1024, 1025, 5000}) {
+      std::mt19937 rng(static_cast<std::uint32_t>(97 * arity + n));
+      Database serial;
+      testref::ReferenceDatabase ref;
+      const int domain = static_cast<int>(arity == 1 ? 3 * n : 2 * n);
+      auto random_row = [&] {
+        Tuple t(arity, "v");
+        for (Value& v : t) v += std::to_string(rng() % domain);
+        return t;
+      };
+      std::vector<Tuple> present;
+      for (int i = 0; i < 300; ++i) {
+        Tuple t = random_row();
+        serial.AddFact("r", t);
+        ref.AddFact("r", t);
+        present.push_back(std::move(t));
+      }
+      Database batch = serial;  // shares the pool: ids are comparable
+      const RelationId rel = serial.RelationIdOf("r");
+
+      // Candidates: a quarter repeat rows already present, a quarter
+      // repeat earlier candidates, the rest are random.
+      std::vector<Tuple> candidates;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t roll = rng() % 4;
+        if (roll == 0) {
+          candidates.push_back(present[rng() % present.size()]);
+        } else if (roll == 1 && !candidates.empty()) {
+          candidates.push_back(candidates[rng() % candidates.size()]);
+        } else {
+          candidates.push_back(random_row());
+        }
+      }
+      std::vector<ValueId> rows;
+      for (const Tuple& t : candidates) {
+        for (const Value& v : t) rows.push_back(batch.pool()->Intern(v));
+      }
+
+      std::size_t added_serial = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::span<const ValueId> row(rows.data() + i * arity, arity);
+        if (serial.AddRow(rel, row)) ++added_serial;
+        ref.AddFact("r", candidates[i]);
+      }
+      const std::uint64_t probes_before = batch.index_stats().probes;
+      const std::size_t added = batch.AddRowBatch(rel, arity, rows);
+      const std::string where =
+          "arity=" + std::to_string(arity) + " n=" + std::to_string(n);
+
+      EXPECT_EQ(added, added_serial) << where;
+      EXPECT_EQ(batch.index_stats().probes - probes_before, n) << where;
+      EXPECT_EQ(batch.Facts("r"), serial.Facts("r")) << where;
+      EXPECT_EQ(batch.Facts("r"), ref.Facts("r")) << where;
+      EXPECT_EQ(batch.ActiveDomain(), serial.ActiveDomain()) << where;
+      EXPECT_EQ(batch.ActiveDomainIds(), serial.ActiveDomainIds()) << where;
+      ASSERT_EQ(batch.NumRows(rel), serial.NumRows(rel)) << where;
+      const std::span<const ValueId> got = batch.Arena(rel);
+      const std::span<const ValueId> want = serial.Arena(rel);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << where;
+
+      // Probe answers (full-row primary table and a lazily built
+      // first-position index) against the string oracle.
+      const std::uint32_t full = (1u << arity) - 1u;
+      for (int trial = 0; trial < 200; ++trial) {
+        const Tuple& t = candidates[rng() % candidates.size()];
+        std::vector<ValueId> key;
+        for (const Value& v : t) key.push_back(batch.ValueIdOf(v));
+        for (const std::uint32_t mask : {full, 1u}) {
+          const std::size_t w = std::popcount(mask);
+          const auto hits =
+              batch.Probe(rel, mask, std::span<const ValueId>(key).first(w));
+          EXPECT_EQ(std::vector<std::uint32_t>(hits.begin(), hits.end()),
+                    ref.Probe("r", mask, Tuple(t.begin(), t.begin() + w)))
+              << where << " mask=" << mask;
+        }
+      }
+    }
   }
 }
 
@@ -295,25 +364,13 @@ TEST(BlockJoinTest, KnobGridProducesIdenticalGoals) {
     EvalOptions base;
     auto want = EvaluateGoal(program, edb, base);
     ASSERT_TRUE(want.ok()) << "trial " << trial;
-    for (const int load : {40, 90}) {
-      for (const int width : {8, 16}) {
-        for (const bool filters : {false, true}) {
-          for (const std::size_t block : {std::size_t{1}, std::size_t{7},
-                                          std::size_t{1024}}) {
-            EvalOptions options;
-            options.probe.max_load_percent = load;
-            options.probe.group_width = width;
-            options.probe.use_filters = filters;
-            options.delta_block_rows = block;
-            auto got = EvaluateGoal(program, edb, options);
-            ASSERT_TRUE(got.ok()) << "trial " << trial;
-            EXPECT_EQ(*got, *want)
-                << "trial " << trial << " load=" << load
-                << " width=" << width << " filters=" << filters
-                << " block=" << block;
-          }
-        }
-      }
+    for (const std::size_t block :
+         {std::size_t{1}, std::size_t{7}, std::size_t{1024}}) {
+      EvalOptions options;
+      options.delta_block_rows = block;
+      auto got = EvaluateGoal(program, edb, options);
+      ASSERT_TRUE(got.ok()) << "trial " << trial;
+      EXPECT_EQ(*got, *want) << "trial " << trial << " block=" << block;
     }
   }
 }

@@ -400,6 +400,41 @@ TEST(ServerTest, OversizedRequestIsRejectedAsOverloaded) {
   EXPECT_EQ(server.stats().overloaded, 1u);
 }
 
+TEST(ServerTest, ArityClashesAreRejectedAndTheStreamContinues) {
+  // A relation has one arity in storage. A database line that mixes two,
+  // or a program that disagrees with its database, must get an error
+  // response — not abort the process — and the next line must still be
+  // answered.
+  Server server(ServerOptions{});
+  const std::string input =
+      R"({"id":1,"op":"eval","program":"g(x,y) :- e(x,y). goal g.",)"
+      R"("database":"e(a,b). e(a,b,c)."})"
+      "\n"
+      R"({"id":2,"op":"eval","program":"e(x,y) :- f(x,y). goal e.",)"
+      R"("database":"e(a,b,c). f(a,b)."})"
+      "\n"
+      R"({"id":3,"op":"eval","program":"g(x,y) :- e(x,y). goal g.",)"
+      R"("database":"e(a,b)."})"
+      "\n";
+  std::istringstream in(input);
+  std::ostringstream out;
+  server.ServeStream(in, out);
+  std::istringstream reread(out.str());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(reread, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u) << out.str();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_NE(lines[i].find("\"code\":\"InvalidArgument\""), std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find("inconsistent arities"), std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find("[QC004]"), std::string::npos) << lines[i];
+  }
+  EXPECT_NE(lines[0].find("(line 1)"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[2].find("\"status\":\"ok\""), std::string::npos) << lines[2];
+  EXPECT_NE(lines[2].find(R"([["a","b"]])"), std::string::npos) << lines[2];
+}
+
 TEST(ServerTest, ServeStreamAnswersInRequestOrder) {
   ServerOptions options;
   options.threads = 4;
