@@ -1,6 +1,6 @@
 // Probe-kernel microbenchmark (DESIGN.md §16): ProbeMany throughput on one
-// flat index, swept over the three kernel knobs — table load factor ×
-// probe-group width × Bloom filter on/off — and over the batch's hit rate
+// flat index, swept over the kernel knobs — table load factor × Bloom
+// filter on/off — and over the batch's hit rate
 // (the filters only pay off on misses). Each row reports the db.probe.*
 // counters per batch, so a capture records not just the speed but how the
 // kernel got it (tag-filter skips, filter skips, prefetch batches). The
@@ -52,9 +52,8 @@ struct ProbeFixture {
 void BM_ProbeManyKnobs(benchmark::State& state) {
   ProbeOptions options;
   options.max_load_percent = static_cast<int>(state.range(0));
-  options.group_width = static_cast<int>(state.range(1));
-  options.use_filters = state.range(2) != 0;
-  const int hit_pct = static_cast<int>(state.range(3));
+  options.use_filters = state.range(1) != 0;
+  const int hit_pct = static_cast<int>(state.range(2));
   ProbeFixture fx(/*rows=*/4096, hit_pct, options);
   std::vector<std::span<const std::uint32_t>> hits(fx.keys.size());
   // One untimed batch builds the index outside the timed loop.
@@ -80,23 +79,20 @@ void BM_ProbeManyKnobs(benchmark::State& state) {
       static_cast<double>(after.prefetch_batches - before.prefetch_batches) /
       iters;
   state.SetLabel(std::string(SimdKernelName()) + "/load" +
-                 std::to_string(state.range(0)) + "/w" +
-                 std::to_string(state.range(1)) +
+                 std::to_string(state.range(0)) +
                  (options.use_filters ? "/filters" : "/nofilters"));
 }
-// load factor {40, 75, 90} × group width {8, 16} × filters {off, on} at a
-// half-hit batch, plus the all-miss and all-hit extremes at the defaults.
+// load factor {40, 75, 90} × filters {off, on} at a half-hit batch, plus
+// the all-miss and all-hit extremes at the defaults.
 void ProbeKnobArgs(benchmark::internal::Benchmark* b) {
   for (int load : {40, 75, 90}) {
-    for (int width : {8, 16}) {
-      for (int filters : {0, 1}) {
-        b->Args({load, width, filters, 50});
-      }
+    for (int filters : {0, 1}) {
+      b->Args({load, filters, 50});
     }
   }
   for (int hit_pct : {0, 100}) {
     for (int filters : {0, 1}) {
-      b->Args({75, 16, filters, hit_pct});
+      b->Args({75, filters, hit_pct});
     }
   }
 }

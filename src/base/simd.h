@@ -112,18 +112,6 @@ inline std::uint32_t MatchBytes16(const std::uint8_t* tags,
 #endif
 }
 
-/// Group compare over the first `width` bytes only (width 8 or 16 — the
-/// probe-group-width knob). Bits >= width are always clear.
-inline std::uint32_t MatchBytes(const std::uint8_t* tags, std::uint8_t needle,
-                                std::uint32_t width) {
-  if (width == 16) return MatchBytes16(tags, needle);
-#if defined(QCONT_SIMD_SSE2) || defined(QCONT_SIMD_NEON)
-  return MatchBytes16(tags, needle) & 0xffu;
-#else
-  return MatchBytes8Scalar(tags, needle);
-#endif
-}
-
 }  // namespace qcont
 
 #endif  // QCONT_BASE_SIMD_H_

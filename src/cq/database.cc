@@ -16,10 +16,14 @@ namespace qcont {
 
 namespace {
 
+// Tag probe-group width in slots: one 16-byte SSE2/NEON compare (or two
+// SWAR words in the scalar build) per group.
+constexpr std::uint32_t kGroupWidth = 16;
+
 // Overhang of the tag array past the slot capacity: the first group is
 // mirrored there so a group load starting at any slot index stays in
-// bounds. Sized for the widest probe group (ProbeOptions::group_width).
-constexpr std::size_t kTagMirror = 16;
+// bounds.
+constexpr std::size_t kTagMirror = kGroupWidth;
 
 // Slot tag: the top 7 hash bits with the high bit set, so an occupied
 // slot's tag is never 0 (the empty-slot tag) and never matches a
@@ -144,7 +148,7 @@ std::uint64_t Database::HashKey(const FlatIndex& idx,
 
 // Tag-filtered probe scan for `key`: returns the slot holding it, or the
 // empty slot where it would be inserted. Scans probe groups of
-// `group_width` slots from the home slot: one byte-wise group compare
+// kGroupWidth slots from the home slot: one byte-wise group compare
 // against the key's tag selects the candidate slots (counted in
 // `tag_hits`, with the occupied non-candidates in `tag_skips`), each
 // candidate is full-key compared in scan order (failures counted in
@@ -152,23 +156,22 @@ std::uint64_t Database::HashKey(const FlatIndex& idx,
 // exactly the slot-by-slot linear-probing order, so tables are laid out
 // identically to the pre-tag kernel. The group compare is SSE2/NEON or the
 // scalar SWAR fallback (base/simd.h); the returned slot and every counter
-// are bit-identical across kernels by the MatchBytes contract. Requires
+// are bit-identical across kernels by the MatchBytes16 contract. Requires
 // nonempty `slots` and `h == HashKey(idx, key, packed)`.
 std::size_t Database::FindSlot(const FlatIndex& idx,
                                std::span<const ValueId> key,
                                std::uint64_t packed, std::uint64_t h,
                                LocalProbeCounters* c) const {
   const std::size_t cap_mask = idx.slots.size() - 1;
-  const auto width = static_cast<std::uint32_t>(probe_options_.group_width);
   const std::uint8_t tag = TagOf(h);
   std::size_t i = h & cap_mask;
   while (true) {
     const std::uint8_t* group = idx.tags.data() + i;
-    std::uint32_t match = MatchBytes(group, tag, width);
-    const std::uint32_t empty = MatchBytes(group, 0, width);
+    std::uint32_t match = MatchBytes16(group, tag);
+    const std::uint32_t empty = MatchBytes16(group, 0);
     const std::uint32_t stop =
         empty != 0 ? static_cast<std::uint32_t>(std::countr_zero(empty))
-                   : width;
+                   : kGroupWidth;
     match &= (1u << stop) - 1u;  // stop <= 16 < 32: no shift UB
     c->tag_skips += stop - static_cast<std::uint32_t>(std::popcount(match));
     while (match != 0) {
@@ -187,7 +190,7 @@ std::size_t Database::FindSlot(const FlatIndex& idx,
       ++c->collisions;
     }
     if (empty != 0) return (i + stop) & cap_mask;
-    i = (i + width) & cap_mask;
+    i = (i + kGroupWidth) & cap_mask;
   }
 }
 
@@ -303,10 +306,11 @@ void Database::CatchUpFlat(const RelationData& data, std::uint32_t mask,
   ObsSpan build_span(obs_, "db/index_build", "db");
   build_span.AddArg("mask", mask);
   build_span.AddArg("rows", total - idx->rows_indexed);
-  const std::uint32_t top = HighestBit(mask);
-  if (data.arity == 0 || top >= data.arity) {
+  if (mask != 0 && HighestBit(mask) >= data.arity) {
     // No row is long enough to be constrained by every masked position
-    // (relations have uniform arity), so the table stays empty.
+    // (relations have uniform arity), so the table stays empty. A zero
+    // mask constrains nothing: every row, even an arity-0 one, lands in
+    // the bucket of the empty key.
     idx->rows_indexed = total;
     return;
   }
@@ -487,10 +491,11 @@ bool Database::AddRow(RelationId rel, std::span<const ValueId> row) {
 // probe signal: Bloom-gated like ProbeMany, with their tag and filter
 // traffic counted.
 std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
+                                  std::size_t num_rows,
                                   std::span<const ValueId> rows) {
-  QCONT_CHECK_MSG(arity >= 1 && rows.size() % arity == 0,
-                  "AddRowBatch: rows must be dense with stride arity >= 1");
-  const std::size_t n = rows.size() / arity;
+  QCONT_CHECK_MSG(rows.size() == num_rows * arity,
+                  "AddRowBatch: rows must be dense with stride arity");
+  const std::size_t n = num_rows;
   if (n == 0) return 0;
   BumpEpoch();
   stats_stripe().probes.fetch_add(n, std::memory_order_relaxed);
@@ -654,7 +659,6 @@ void Database::ProbeMany(RelationId rel, std::uint32_t mask,
 void Database::set_probe_options(const ProbeOptions& options) {
   ProbeOptions clamped = options;
   clamped.max_load_percent = std::clamp(clamped.max_load_percent, 40, 90);
-  clamped.group_width = clamped.group_width <= 8 ? 8 : 16;
   probe_options_ = clamped;
 }
 

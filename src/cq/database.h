@@ -34,23 +34,23 @@ inline constexpr ValueId kNoValue = Interner::kMissing;
 
 /// Interned relation id. Relation names are interned into the same shared
 /// pool as values, so relation ids — like value ids — are comparable across
-/// databases that share a pool (the semi-naive deltas rely on this).
+/// databases that share a pool.
 /// `kNoRelation` means "name never interned in the pool".
 using RelationId = SymbolId;
 inline constexpr RelationId kNoRelation = Interner::kMissing;
 
 /// Tuning knobs of the flat probe tables (DESIGN.md §16). Set per database
-/// via `Database::set_probe_options` before the first probe; the benches
-/// sweep them (`bench_probe_kernel`, E2/E9 knob rows). Every setting is a
-/// pure performance knob: probe *results* are bit-identical across the
-/// whole grid (and across the SIMD/scalar kernel builds).
+/// via `Database::set_probe_options` before the first probe; the probe
+/// kernel bench sweeps them (`bench_probe_kernel`). Every setting is a pure
+/// performance knob: probe *results* are bit-identical across the whole
+/// grid (and across the SIMD/scalar kernel builds). The tag probe group is
+/// fixed at 16 slots (one SSE2/NEON vector compare per group); the
+/// committed `BENCH_probe_kernel.json` sweep shows the 8-slot SWAR group
+/// never more than 1% faster.
 struct ProbeOptions {
   /// Probe-table growth threshold: grow when occupied slots exceed this
   /// percentage of capacity. Clamped to [40, 90].
   int max_load_percent = 75;
-  /// Tag probe-group width in slots: 16 (one SSE2/NEON vector compare per
-  /// group) or 8 (one 64-bit SWAR compare). Values other than 8 become 16.
-  int group_width = 16;
   /// Consult the per-(relation, mask) Bloom filters on lookups: a probe
   /// whose key hash misses the filter is answered "empty" without touching
   /// the slot array (the semi-naive delta joins' guaranteed-miss skip).
@@ -108,10 +108,9 @@ struct DatabaseIndexStats {
 /// Values are interned into a shared `Interner` pool, so the join substrate
 /// works on dense integer ids instead of strings. Relation names are
 /// interned into the same pool (`RelationIdOf`). Databases created with the
-/// default constructor own a fresh pool; databases meant to be joined
-/// against each other (e.g. a semi-naive delta against the full database)
-/// should share one pool via the `Database(pool)` constructor so that value
-/// and relation ids are comparable across them.
+/// default constructor own a fresh pool; the `Database(pool)` constructor
+/// shares one (the server interns every request's database into one pool),
+/// so that value and relation ids are comparable across them.
 ///
 /// ## Storage
 ///
@@ -166,23 +165,25 @@ class Database {
   /// Adds a fact given as pool ids: `rel` must be the pool id of the
   /// relation name and every value of `row` a valid pool id. Returns true
   /// if new. This is the allocation-free twin of AddFact used by the
-  /// semi-naive merge (the string tuple is materialized internally so
-  /// `Facts` stays consistent).
+  /// serial rule firings of the Datalog evaluator (the string tuple is
+  /// materialized internally so `Facts` stays consistent).
   bool AddRow(RelationId rel, std::span<const ValueId> row);
 
-  /// Batched AddRow: deduplicates `rows` (candidate rows laid out
-  /// consecutively with stride `arity`) against this relation *and*
+  /// Batched AddRow: deduplicates `num_rows` candidate rows (laid out
+  /// consecutively in `rows` with stride `arity`, so `rows.size() ==
+  /// num_rows * arity`; arity 0 is allowed) against this relation *and*
   /// against earlier candidates of the same batch (first occurrence wins),
   /// then commits the survivors in first-occurrence order — the exact
   /// database state a serial `AddRow` loop over the batch would produce.
   /// Returns the number added; the survivors are the last that many rows
-  /// of `Arena(rel)`.
+  /// of the relation.
   ///
   /// This is the semi-naive round barrier's merge primitive. Counts
-  /// `rows.size()/arity` probes (one dedup lookup per candidate, mirroring
-  /// the per-key ProbeMany contract). Exclusive: the caller must not probe
-  /// or mutate the database concurrently with this call.
+  /// `num_rows` probes (one dedup lookup per candidate, mirroring the
+  /// per-key ProbeMany contract). Exclusive: the caller must not probe or
+  /// mutate the database concurrently with this call.
   std::size_t AddRowBatch(RelationId rel, std::size_t arity,
+                          std::size_t num_rows,
                           std::span<const ValueId> rows);
 
   bool HasFact(const std::string& relation, const Tuple& tuple) const;
@@ -229,7 +230,8 @@ class Database {
   /// `popcount(mask)` of them). Builds and memoizes the (relation, mask)
   /// index on first use; later `AddFact`s are folded in incrementally on
   /// the next probe. Only the first 32 positions of a relation are
-  /// indexable. `mask` must be nonzero. Safe for concurrent const callers
+  /// indexable; a zero mask (empty key) matches every row, arity-0
+  /// relations included. Safe for concurrent const callers
   /// (see class comment); the returned span stays valid until the next
   /// AddFact.
   std::span<const std::uint32_t> Probe(RelationId rel, std::uint32_t mask,
@@ -256,8 +258,8 @@ class Database {
                  std::span<const ValueId> keys,
                  std::span<std::span<const std::uint32_t>> out) const;
 
-  /// Installs probe-table tuning knobs (load factor, tag group width,
-  /// Bloom filters, prefetch distance). Call before probing: the load
+  /// Installs probe-table tuning knobs (load factor, Bloom filters,
+  /// prefetch distance). Call before probing: the load
   /// factor applies to tables built or grown afterwards, the rest apply
   /// per lookup. Not synchronized — set it while no other thread probes,
   /// like `set_obs`. Copied along with the database.
@@ -322,9 +324,8 @@ class Database {
   /// returned reference stays valid until then.
   const std::vector<std::string>& Relations() const;
 
-  /// Relation ids in first-fact order (the deterministic iteration order
-  /// the engines use when merging deltas). Stays valid until the next
-  /// AddFact of a new relation.
+  /// Relation ids in first-fact order. Stays valid until the next AddFact
+  /// of a new relation.
   const std::vector<RelationId>& RelationIds() const { return rel_ids_; }
 
   /// All values occurring in any fact (the active domain), in first-

@@ -13,69 +13,50 @@
 namespace qcont {
 
 /// Compiled block-at-a-time delta join for one (rule, delta position) pair
-/// (DESIGN.md §16). Where the recursive homomorphism engine extends one
-/// partial binding at a time — re-selecting the most-constrained atom and
-/// issuing one index probe per candidate — the block plan fixes the atom
-/// order once at compile time (delta atom first, then greedily by bound
-/// positions) and joins a whole block of delta rows per step: the frontier
-/// of partial bindings is a flat ValueId array, each step gathers every
-/// frontier row's probe key and resolves them with ONE ProbeMany call per
-/// atom per block, so the staged probe pipeline (hash → Bloom filter →
-/// prefetch → tag-filtered resolve) amortizes over the block instead of
-/// running one cold probe per binding.
+/// (DESIGN.md §16): the join every semi-naive round after round 0 runs.
+/// The plan fixes the atom order once at compile time (delta atom first,
+/// then greedily by bound positions) and joins a whole block of delta rows
+/// per step: the frontier of partial bindings is a flat ValueId array,
+/// each step gathers every frontier row's probe key and resolves them with
+/// ONE ProbeMany call per atom per block, so the staged probe pipeline
+/// (hash → Bloom filter → prefetch → tag-filtered resolve) amortizes over
+/// the block instead of running one cold probe per binding.
 ///
-/// The plan enumerates exactly the homomorphisms the recursive engine
-/// finds (same set, same multiplicity — emission order may differ, which
-/// semi-naive rounds absorb because derived facts are deduplicated sets).
-/// Execution is deterministic: output order depends only on delta row
-/// order and postings order, never on thread count.
+/// Every rule of a validated program compiles: atoms of any arity (bound
+/// positions past the 32-bit probe mask are checked after the probe, like
+/// the hom search does), arity-0 delta atoms and heads, repeated and
+/// disconnected variables. The plan enumerates the homomorphisms with the
+/// delta atom mapped into the delta rows (each once; emission order
+/// differs from the hom search, which semi-naive rounds absorb because
+/// derived facts are deduplicated sets). Execution is deterministic:
+/// output order depends only on delta row order and postings order, never
+/// on thread count.
 class BlockJoinPlan {
  public:
   /// Compiles a plan for `rule` with the atom at `delta_position` matched
-  /// against the delta database. `body_rels` are the pre-interned relation
-  /// ids of the body atoms; constants are resolved through `pool`. Returns
-  /// an invalid plan (check valid()) when the rule shape is unsupported —
-  /// an atom wider than 32 positions or a non-variable head term — in
-  /// which case the caller falls back to the recursive engine.
+  /// against the delta rows. `body_rels` are the pre-interned relation ids
+  /// of the body atoms. The rule must be valid (DatalogProgram::Validate):
+  /// constant-free, with every head variable bound in the body.
   static BlockJoinPlan Compile(const Rule& rule,
                                std::span<const RelationId> body_rels,
-                               int delta_position, const Interner& pool);
+                               int delta_position);
 
-  BlockJoinPlan() = default;
-
-  bool valid() const { return valid_; }
-
-  /// Joins every delta row (in blocks of `block_rows`) through the plan,
-  /// appending each match's head row to `out_rows` (stride = head arity)
-  /// and bumping `*num_rows` per match. Probe traffic lands in `stats`
-  /// (index_probes/index_candidates for the ProbeMany steps,
-  /// scan_candidates for the delta scan, atom_attempts per candidate).
-  void Execute(const Database& all, const Database& delta,
-               std::size_t block_rows, std::vector<ValueId>* out_rows,
-               std::size_t* num_rows, HomSearchStats* stats) const;
-
-  /// Same join over a raw delta buffer: `delta_rows` holds the delta
-  /// relation's rows flattened with stride `delta_arity`. This is the
-  /// buffered-delta fast path of the semi-naive loop, which skips
-  /// materializing a Database for each round's delta when every join of
-  /// the program has a valid plan.
-  void Execute(const Database& all, std::span<const ValueId> delta_rows,
-               std::uint32_t delta_arity, std::size_t block_rows,
+  /// Joins the delta rows [begin, end) of the delta atom's relation in
+  /// `all` (the tail a round barrier appended) through the plan as one
+  /// block, appending each match's head row to `out_rows` (stride = head
+  /// arity) and bumping `*num_rows` per match. Probe traffic lands in
+  /// `stats` (index_probes/index_candidates for the ProbeMany steps,
+  /// scan_candidates for the delta rows, atom_attempts per candidate).
+  /// Reads `all` only, so concurrent calls against a frozen `all` are
+  /// safe.
+  void Execute(const Database& all, std::size_t begin, std::size_t end,
                std::vector<ValueId>* out_rows, std::size_t* num_rows,
                HomSearchStats* stats) const;
 
  private:
-  // Per masked position of a step's probe key, ascending by position:
-  // either a constant's interned id or the frontier slot the value comes
-  // from.
-  struct KeySource {
-    bool is_constant = false;
-    ValueId constant = 0;
-    int var_slot = -1;
-  };
-  // Unbound position handled outside the probe key: first occurrence of a
-  // variable binds its frontier slot, a repeat within the same atom checks
-  // against the slot bound moments earlier.
+  // Position handled outside the probe key: the first occurrence of a
+  // variable binds its frontier slot; a repeat, or a bound position the
+  // 32-bit probe mask cannot hold, checks against the slot.
   struct PositionAction {
     std::uint32_t pos = 0;
     int var_slot = -1;
@@ -84,21 +65,15 @@ class BlockJoinPlan {
   struct AtomStep {
     RelationId rel = kNoRelation;
     std::uint32_t arity = 0;
-    std::uint32_t mask = 0;       // bound positions (constants + bound vars)
-    std::uint32_t key_width = 0;  // popcount(mask)
-    std::vector<KeySource> key_sources;
+    std::uint32_t mask = 0;        // bound positions below 32
+    std::vector<int> key_slots;    // frontier slot per masked position
     std::vector<PositionAction> actions;
   };
 
-  bool valid_ = false;
-  // A body constant that was never interned cannot occur in any fact, so
-  // the join is statically empty (still a valid plan).
-  bool never_matches_ = false;
   std::size_t num_vars_ = 0;
   RelationId delta_rel_ = kNoRelation;
   std::uint32_t delta_arity_ = 0;
-  std::vector<PositionAction> delta_actions_;  // binds + checks, incl. consts
-  std::vector<std::pair<std::uint32_t, ValueId>> delta_const_checks_;
+  std::vector<PositionAction> delta_actions_;
   std::vector<AtomStep> steps_;    // non-delta atoms in join order
   std::vector<int> head_slots_;    // frontier slot per head position
 };

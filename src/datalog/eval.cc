@@ -51,194 +51,117 @@ std::vector<CompiledRule> CompileRules(const DatalogProgram& program,
   return compiled;
 }
 
-// One rule firing: the derived head tuples plus this firing's counters.
-// Stats are task-local by construction — no pointer is shared between
-// concurrent firings; callers fold `stats` in with Merge at the join.
-//
-// The indexed engine fires through the interned-row face (`rows` holds the
-// head tuples flattened with stride head_arity, `num_rows` counts them so
-// arity-0 heads stay countable); the scan engine falls back to string
-// tuples in `tuples`. Exactly one of the two shapes is filled, flagged by
-// `id_path`.
+// One rule firing: the derived head rows (flattened with stride
+// head_arity; `num_rows` counts them so arity-0 heads stay countable) plus
+// this firing's counters. Stats are task-local by construction — no
+// pointer is shared between concurrent firings; callers fold `stats` in
+// with Merge at the join.
 struct FiredRule {
-  std::vector<Tuple> tuples;
   std::vector<ValueId> rows;
   std::size_t num_rows = 0;
-  bool id_path = false;
   DatalogEvalStats stats;
 };
 
-// Derives the head tuples produced by `cr` over `db`. If `delta_position`
-// is >= 0, the body atom at that index is matched against `delta` instead
-// of `db` (the semi-naive restriction "at least one new fact"), realized by
-// pointing that atom's search at the delta database — no copies, no
-// renaming; delta and db share a value pool so the indexed join applies
-// (index the delta, probe the full relation, and vice versa: the searcher
-// orders atoms by candidate count, so whichever side is smaller drives).
-FiredRule FireRule(const CompiledRule& cr, const Database& db,
-                   const Database* delta, int delta_position,
-                   const HomSearchOptions& options) {
+// Derives the head rows `cr` produces over the whole of `db` through the
+// hom search (naive rounds and semi-naive round 0).
+FiredRule FireRule(const CompiledRule& cr, const Database& db) {
   const Rule& rule = *cr.rule;
-  std::vector<const Database*> dbs(rule.body.size(), &db);
-  if (delta_position >= 0) dbs[delta_position] = delta;
   FiredRule out;
-  RowEnumerator rows(rule.body, dbs, cr.body_rels, /*fixed=*/{},
-                     &out.stats.hom, options);
-  if (rows.valid()) {
-    out.id_path = true;
-    std::vector<int> head_slots;
-    head_slots.reserve(cr.head_arity);
-    for (const Term& v : rule.head.terms()) {
-      int slot = rows.VarSlot(v.name());
-      QCONT_CHECK_MSG(slot >= 0, "head variable not bound in rule body");
-      head_slots.push_back(slot);
-    }
-    rows.Enumerate([&](std::span<const ValueId> h) {
-      for (int slot : head_slots) out.rows.push_back(h[slot]);
-      ++out.num_rows;
-      ++out.stats.rule_firings;
-      return true;
-    });
-    return out;
+  RowEnumerator rows(rule.body, db, cr.body_rels, /*fixed=*/{},
+                     &out.stats.hom);
+  std::vector<int> head_slots;
+  head_slots.reserve(cr.head_arity);
+  for (const Term& v : rule.head.terms()) {
+    int slot = rows.VarSlot(v.name());
+    QCONT_CHECK_MSG(slot >= 0, "head variable not bound in rule body");
+    head_slots.push_back(slot);
   }
-  EnumerateHomomorphismsOver(
-      rule.body, dbs, cr.body_rels, /*fixed=*/{},
-      [&](const Assignment& h) {
-        Tuple t;
-        t.reserve(rule.head.arity());
-        for (const Term& v : rule.head.terms()) {
-          t.push_back(h.at(v.name()));
-        }
-        out.tuples.push_back(std::move(t));
-        ++out.stats.rule_firings;
-        return true;
-      },
-      &out.stats.hom, options);
+  rows.Enumerate([&](std::span<const ValueId> h) {
+    for (int slot : head_slots) out.rows.push_back(h[slot]);
+    ++out.num_rows;
+    ++out.stats.rule_firings;
+    return true;
+  });
   return out;
 }
 
-// Serial merge used by the naive rounds and semi-naive round 0: insert the
-// firing's tuples into `all` (and `delta`, if given) immediately, so later
-// rules of the same round see them.
-void MergeSerial(const CompiledRule& cr, FiredRule& fired, Database& all,
-                 Database* delta, bool* changed, DatalogEvalStats* stats) {
-  if (fired.id_path) {
+// One serial sweep (a naive round, or semi-naive round 0): fires every
+// rule in order and inserts its rows into `all` immediately, so later
+// rules of the same sweep see them. Returns the number of facts added.
+std::size_t FireRulesSerially(const std::vector<CompiledRule>& compiled,
+                              Database& all, DatalogEvalStats* stats) {
+  std::size_t added = 0;
+  for (const CompiledRule& cr : compiled) {
+    const FiredRule fired = FireRule(cr, all);
+    if (stats != nullptr) stats->Merge(fired.stats);
     for (std::size_t i = 0; i < fired.num_rows; ++i) {
-      std::span<const ValueId> row(fired.rows.data() + i * cr.head_arity,
-                                   cr.head_arity);
-      if (all.AddRow(cr.head_rel, row)) {
-        if (delta != nullptr) delta->AddRow(cr.head_rel, row);
-        if (changed != nullptr) *changed = true;
-        if (stats != nullptr) ++stats->derived_facts;
-      }
-    }
-    return;
-  }
-  const std::string& head = cr.rule->head.predicate();
-  for (Tuple& t : fired.tuples) {
-    bool added;
-    if (delta != nullptr) {
-      added = all.AddFact(head, t);
-      if (added) delta->AddFact(head, std::move(t));
-    } else {
-      added = all.AddFact(head, std::move(t));
-    }
-    if (added) {
-      if (changed != nullptr) *changed = true;
-      if (stats != nullptr) ++stats->derived_facts;
+      const std::span<const ValueId> row(fired.rows.data() + i * cr.head_arity,
+                                         cr.head_arity);
+      if (all.AddRow(cr.head_rel, row)) ++added;
     }
   }
+  if (stats != nullptr) stats->derived_facts += added;
+  return added;
 }
 
-// One relation's slice of a round delta in the buffered fast path: rows
-// flattened with stride `arity`, kept in first-touch order. Carries no
-// dedup structure of its own — the round-barrier `Database::AddRowBatch`
-// deduplicates candidates against the database and within the round in one
-// pass (DESIGN.md §17), so between rounds the buffer holds candidates, and
-// after the barrier it holds the committed survivors.
-struct DeltaRows {
+// An intensional relation and its delta: the rows [begin, end) of its
+// arena in the working database that the last round appended.
+struct Delta {
   RelationId rel = kNoRelation;
-  std::uint32_t arity = 0;
-  std::vector<ValueId> rows;
-
-  std::size_t count() const { return arity == 0 ? 0 : rows.size() / arity; }
+  std::size_t begin = 0;
+  std::size_t end = 0;
 };
 
-// Semi-naive rounds 1..n over flat per-relation delta buffers instead of a
-// per-round Database. Only reachable when every (rule, intensional
-// position) join compiled to a valid block plan and every head arity fits
-// a probe mask. Each round: split every (plan, non-empty delta buffer)
-// join into block-sized pool tasks (so one wide delta still fans out
-// across workers), block-join them in parallel against the frozen `all`,
-// then commit each head relation's concatenated candidates with one
-// AddRowBatch at the barrier. This skips the per-round Database entirely —
-// no string-tuple materialization on the round path, no second hash insert
-// per derived row. The derived database (row order, interning order) and
-// all engine counters are bit-identical to the serial AddRow loop for
-// every thread count: tasks are merged in (join, block) order, which is
-// the serial block order, and AddRowBatch commits survivors in candidate
-// order.
-void EvaluateRoundsBuffered(const std::vector<CompiledRule>& compiled,
-                            const std::vector<std::vector<BlockJoinPlan>>& plans,
-                            const EvalOptions& options, const Database& delta0,
-                            Database& all, std::uint64_t* round,
-                            DatalogEvalStats* stats) {
-  // Round 0's delta arrives as a Database (its rules fire serially and need
-  // incremental visibility); flatten it into buffers once.
-  std::vector<DeltaRows> delta;
-  std::unordered_map<RelationId, std::size_t> slot_of;
-  auto buffer_for = [&](std::vector<DeltaRows>& bufs, RelationId rel,
-                        std::uint32_t arity) -> DeltaRows& {
-    auto [it, added] = slot_of.try_emplace(rel, bufs.size());
-    if (added) {
-      bufs.emplace_back();
-      bufs.back().rel = rel;
-      bufs.back().arity = arity;
-    }
-    return bufs[it->second];
-  };
-  for (const RelationId rel : delta0.RelationIds()) {
-    const std::size_t n = delta0.NumRows(rel);
-    if (n == 0) continue;
-    DeltaRows& buf = buffer_for(
-        delta, rel, static_cast<std::uint32_t>(delta0.Arity(rel)));
-    const std::span<const ValueId> arena = delta0.Arena(rel);
-    buf.rows.assign(arena.begin(), arena.end());
-  }
+// A (rule, intensional position) join: its block plan, the delta it reads
+// and the delta its head relation feeds.
+struct DeltaJoin {
+  const CompiledRule* rule = nullptr;
+  std::size_t delta = 0;
+  std::size_t head = 0;
+  BlockJoinPlan plan;
+};
 
-  // A (rule, delta position) join restricted to one block of delta rows.
-  // Tasks are enumerated join-major, block-minor, and their outputs are
-  // concatenated in task order — exactly the order one Execute call over
-  // the whole buffer produces, since Execute chunks from row 0 in
-  // `block` steps.
+// Semi-naive rounds 1..n. Each round splits every (join, non-empty delta)
+// pair into block-sized pool tasks (so one wide delta still fans out
+// across workers), block-joins them in parallel against the frozen `all`,
+// then commits each head relation's concatenated candidates with one
+// AddRowBatch at the barrier. The rows a batch appends are the relation's
+// next delta, read in place from the arena. The derived database (row
+// order, interning order) and all engine counters are bit-identical for
+// every thread count: tasks are merged in (join, block) order, and
+// AddRowBatch commits survivors in candidate order.
+void EvaluateDeltaRounds(const std::vector<DeltaJoin>& joins,
+                         std::vector<Delta>& deltas,
+                         const EvalOptions& options, Database& all,
+                         std::uint64_t* round, DatalogEvalStats* stats) {
   struct DeltaTask {
-    const CompiledRule* rule;
-    const BlockJoinPlan* plan;
-    const DeltaRows* buf;
+    const DeltaJoin* join;
     std::size_t begin = 0;  // first delta row of the block
     std::size_t end = 0;    // one past the last
   };
+  // One head relation's candidate rows of a round, in task order.
+  struct Batch {
+    RelationId rel = kNoRelation;
+    std::size_t arity = 0;
+    std::size_t num_rows = 0;
+    std::vector<ValueId> rows;
+  };
   const std::size_t block = std::max<std::size_t>(options.delta_block_rows, 1);
   std::vector<DeltaTask> tasks;
-  std::size_t total = 0;
-  for (const DeltaRows& buf : delta) total += buf.count();
-  while (total > 0) {
+  auto delta_total = [&] {
+    std::size_t total = 0;
+    for (const Delta& d : deltas) total += d.end - d.begin;
+    return total;
+  };
+  while (delta_total() > 0) {
     ObsSpan round_span(options.obs, "datalog/round", "datalog");
     round_span.AddArg("round", (*round)++);
     if (stats != nullptr) ++stats->iterations;
     tasks.clear();
-    for (std::size_t r = 0; r < compiled.size(); ++r) {
-      const CompiledRule& cr = compiled[r];
-      for (std::size_t i = 0; i < cr.rule->body.size(); ++i) {
-        if (!plans[r][i].valid()) continue;  // extensional position
-        auto it = slot_of.find(cr.body_rels[i]);
-        if (it == slot_of.end() || delta[it->second].count() == 0) continue;
-        const DeltaRows& buf = delta[it->second];
-        const std::size_t n = buf.count();
-        for (std::size_t b = 0; b < n; b += block) {
-          tasks.push_back(DeltaTask{&cr, &plans[r][i], &buf, b,
-                                    std::min(n, b + block)});
-        }
+    for (const DeltaJoin& join : joins) {
+      const Delta& d = deltas[join.delta];
+      for (std::size_t b = d.begin; b < d.end; b += block) {
+        tasks.push_back(DeltaTask{&join, b, std::min(d.end, b + block)});
       }
     }
     round_span.AddArg("tasks", tasks.size());
@@ -248,50 +171,48 @@ void EvaluateRoundsBuffered(const std::vector<CompiledRule>& compiled,
           join_span.AddArg("task", t);
           const DeltaTask& task = tasks[t];
           FiredRule out;
-          out.id_path = true;
-          task.plan->Execute(
-              all,
-              std::span<const ValueId>(task.buf->rows)
-                  .subspan(task.begin * task.buf->arity,
-                           (task.end - task.begin) * task.buf->arity),
-              task.buf->arity, block, &out.rows, &out.num_rows,
-              &out.stats.hom);
+          task.join->plan.Execute(all, task.begin, task.end, &out.rows,
+                                  &out.num_rows, &out.stats.hom);
           out.stats.rule_firings = out.num_rows;
           return out;
         });
     // Round barrier. Gather each head relation's candidate rows in task
-    // order (relations keyed by the first producing task, exactly the
-    // first-touch order of the per-task merge this replaces), then commit
-    // each relation with one AddRowBatch: it deduplicates against the
-    // database and within the batch and appends the survivors, in
+    // order (relations in the order of their first producing task), then
+    // commit each relation with one AddRowBatch: it deduplicates against
+    // the database and within the batch and appends the survivors, in
     // candidate order, to the relation's arena — whose tail is therefore
     // precisely the relation's slice of the next round's delta.
     ObsSpan merge_span(options.obs, "datalog/merge", "datalog");
-    std::vector<DeltaRows> next;
-    slot_of.clear();
+    std::vector<Batch> batches;
+    std::vector<std::size_t> batch_of(deltas.size(), deltas.size());
     std::size_t candidates = 0;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       if (stats != nullptr) stats->Merge(fired[t].stats);
       if (fired[t].num_rows == 0) continue;
-      const CompiledRule& cr = *tasks[t].rule;
-      DeltaRows& buf = buffer_for(
-          next, cr.head_rel, static_cast<std::uint32_t>(cr.head_arity));
-      buf.rows.insert(buf.rows.end(), fired[t].rows.begin(),
-                      fired[t].rows.end());
+      const DeltaJoin& join = *tasks[t].join;
+      std::size_t& slot = batch_of[join.head];
+      if (slot == deltas.size()) {
+        slot = batches.size();
+        batches.emplace_back();
+        batches.back().rel = join.rule->head_rel;
+        batches.back().arity = join.rule->head_arity;
+      }
+      Batch& batch = batches[slot];
+      batch.rows.insert(batch.rows.end(), fired[t].rows.begin(),
+                        fired[t].rows.end());
+      batch.num_rows += fired[t].num_rows;
       candidates += fired[t].num_rows;
     }
     merge_span.AddArg("candidates", candidates);
-    merge_span.AddArg("relations", next.size());
-    total = 0;
-    for (DeltaRows& buf : next) {
-      const std::size_t got = all.AddRowBatch(buf.rel, buf.arity, buf.rows);
+    merge_span.AddArg("relations", batches.size());
+    for (Delta& d : deltas) d.begin = all.NumRows(d.rel);
+    for (const Batch& batch : batches) {
+      const std::size_t got =
+          all.AddRowBatch(batch.rel, batch.arity, batch.num_rows, batch.rows);
       if (stats != nullptr) stats->derived_facts += got;
-      const std::span<const ValueId> arena = all.Arena(buf.rel);
-      buf.rows.assign(arena.end() - got * buf.arity, arena.end());
-      total += got;
     }
-    round_span.AddArg("delta_facts", total);
-    delta = std::move(next);
+    for (Delta& d : deltas) d.end = all.NumRows(d.rel);
+    round_span.AddArg("delta_facts", delta_total());
   }
 }
 
@@ -329,8 +250,6 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
   Database all = edb;
   all.set_obs(options.obs);
   const std::vector<CompiledRule> compiled = CompileRules(program, all);
-  HomSearchOptions hom_options;
-  hom_options.use_index = options.use_index;
   std::uint64_t round = 0;
 
   if (options.strategy == EvalStrategy::kNaive) {
@@ -339,161 +258,50 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
     // order-dependent by definition.
     bool changed = true;
     while (changed) {
-      changed = false;
       ObsSpan round_span(options.obs, "datalog/round", "datalog");
       round_span.AddArg("round", round++);
       if (stats != nullptr) ++stats->iterations;
-      for (const CompiledRule& cr : compiled) {
-        FiredRule fired = FireRule(cr, all, nullptr, -1, hom_options);
-        if (stats != nullptr) stats->Merge(fired.stats);
-        MergeSerial(cr, fired, all, nullptr, &changed, stats);
-      }
+      round_span.AddArg("tasks", compiled.size());
+      const std::size_t added = FireRulesSerially(compiled, all, stats);
+      round_span.AddArg("delta_facts", added);
+      changed = added > 0;
     }
     return all;
   }
 
-  // Semi-naive: round 0 fires all rules on the EDB; later rounds require at
-  // least one body atom to match the previous round's delta. The deltas
-  // share `all`'s value pool, so the indexed join spans both databases.
-  // Round 0 stays serial: like the naive rounds, each rule sees the facts
-  // added by the rules before it.
-  Database delta(all.pool());
-  delta.set_obs(options.obs);
+  // Semi-naive. Every intensional relation gets a delta, and every
+  // (rule, intensional position) pair a block plan over that delta.
+  std::vector<Delta> deltas;
+  std::unordered_map<RelationId, std::size_t> delta_of;
+  for (const CompiledRule& cr : compiled) {
+    if (delta_of.try_emplace(cr.head_rel, deltas.size()).second) {
+      deltas.push_back(Delta{cr.head_rel, 0, 0});
+    }
+  }
+  std::vector<DeltaJoin> joins;
+  for (const CompiledRule& cr : compiled) {
+    for (std::size_t i = 0; i < cr.body_rels.size(); ++i) {
+      auto it = delta_of.find(cr.body_rels[i]);
+      if (it == delta_of.end()) continue;  // extensional position
+      joins.push_back(DeltaJoin{
+          &cr, it->second, delta_of.at(cr.head_rel),
+          BlockJoinPlan::Compile(*cr.rule, cr.body_rels, static_cast<int>(i))});
+    }
+  }
+
+  // Round 0 fires every rule on the EDB. It stays serial: like the naive
+  // rounds, each rule sees the facts added by the rules before it. Its
+  // delta is everything it appended.
   {
     ObsSpan round_span(options.obs, "datalog/round", "datalog");
     round_span.AddArg("round", round++);
     if (stats != nullptr) ++stats->iterations;
-    for (const CompiledRule& cr : compiled) {
-      FiredRule fired = FireRule(cr, all, nullptr, -1, hom_options);
-      if (stats != nullptr) stats->Merge(fired.stats);
-      MergeSerial(cr, fired, all, &delta, nullptr, stats);
-    }
-    round_span.AddArg("delta_facts", delta.NumFacts());
+    round_span.AddArg("tasks", compiled.size());
+    for (Delta& d : deltas) d.begin = all.NumRows(d.rel);
+    round_span.AddArg("delta_facts", FireRulesSerially(compiled, all, stats));
+    for (Delta& d : deltas) d.end = all.NumRows(d.rel);
   }
-  // Block-join plans are compiled once per (rule, intensional position),
-  // after round 0 so body constants resolve against the settled pool. When
-  // EVERY join of the program has a valid plan and every head fits a probe
-  // mask, the loop runs in buffered-delta mode: each round's delta lives
-  // in flat per-relation row buffers instead of a full Database (no string
-  // tuples, no domain tracking, no second hash insert per derived row).
-  const bool use_block_joins = options.block_delta_joins && options.use_index;
-  bool buffered = use_block_joins;
-  std::vector<std::vector<BlockJoinPlan>> plans(compiled.size());
-  if (use_block_joins) {
-    for (std::size_t r = 0; r < compiled.size(); ++r) {
-      const CompiledRule& cr = compiled[r];
-      if (cr.head_arity < 1 || cr.head_arity > 32) buffered = false;
-      plans[r].resize(cr.rule->body.size());
-      for (std::size_t i = 0; i < cr.rule->body.size(); ++i) {
-        if (!program.IsIntensional(cr.rule->body[i].predicate())) continue;
-        plans[r][i] = BlockJoinPlan::Compile(*cr.rule, cr.body_rels,
-                                             static_cast<int>(i), *all.pool());
-        if (!plans[r][i].valid()) buffered = false;
-      }
-    }
-  }
-
-  if (buffered) {
-    EvaluateRoundsBuffered(compiled, plans, options, delta, all, &round,
-                           stats);
-    return all;
-  }
-  while (delta.NumFacts() > 0) {
-    ObsSpan round_span(options.obs, "datalog/round", "datalog");
-    round_span.AddArg("round", round++);
-    if (stats != nullptr) ++stats->iterations;
-    Database next_delta(all.pool());
-    next_delta.set_obs(options.obs);
-    // The (rule, delta position) joins of a round are independent: they
-    // only read `all` and `delta`, which are frozen until the barrier. Each
-    // runs as its own pool task into a private FiredRule; the buffers are
-    // merged below in task order, so the result is bit-identical to the
-    // serial loop for every thread count (including insertion order, which
-    // fixes the interning order of new values).
-    struct DeltaJoin {
-      const CompiledRule* rule;
-      int position;
-      const BlockJoinPlan* plan;  // null: recursive engine
-    };
-    std::vector<DeltaJoin> joins;
-    for (std::size_t r = 0; r < compiled.size(); ++r) {
-      const CompiledRule& cr = compiled[r];
-      for (std::size_t i = 0; i < cr.rule->body.size(); ++i) {
-        if (!program.IsIntensional(cr.rule->body[i].predicate())) continue;
-        if (delta.NumRows(cr.body_rels[i]) == 0) continue;
-        const BlockJoinPlan* plan =
-            use_block_joins && plans[r][i].valid() ? &plans[r][i] : nullptr;
-        joins.push_back(DeltaJoin{&cr, static_cast<int>(i), plan});
-      }
-    }
-    round_span.AddArg("joins", joins.size());
-    std::vector<FiredRule> fired = ParallelMap<FiredRule>(
-        options.exec, joins.size(), [&](std::size_t t) {
-          ObsSpan join_span(options.obs, "datalog/delta_join", "datalog");
-          join_span.AddArg("task", t);
-          if (joins[t].plan != nullptr) {
-            FiredRule out;
-            out.id_path = true;
-            joins[t].plan->Execute(all, delta, options.delta_block_rows,
-                                   &out.rows, &out.num_rows, &out.stats.hom);
-            out.stats.rule_firings = out.num_rows;
-            return out;
-          }
-          return FireRule(*joins[t].rule, all, &delta, joins[t].position,
-                          hom_options);
-        });
-    std::vector<std::span<const std::uint32_t>> hits;
-    for (std::size_t t = 0; t < joins.size(); ++t) {
-      if (stats != nullptr) stats->Merge(fired[t].stats);
-      const CompiledRule& cr = *joins[t].rule;
-      if (fired[t].id_path) {
-        const std::size_t arity = cr.head_arity;
-        if (fired[t].num_rows > 0 && arity >= 1 && arity <= 32) {
-          // Batched dedup against `all`: one ProbeMany over the head
-          // relation's primary table resolves every candidate row of this
-          // firing in bucket order.
-          const std::uint32_t mask =
-              arity == 32 ? ~0u : ((1u << arity) - 1u);
-          hits.assign(fired[t].num_rows, {});
-          all.ProbeMany(cr.head_rel, mask, std::span<const ValueId>(fired[t].rows),
-                        std::span<std::span<const std::uint32_t>>(hits));
-          for (std::size_t i = 0; i < fired[t].num_rows; ++i) {
-            if (hits[i].empty()) {
-              next_delta.AddRow(
-                  cr.head_rel,
-                  std::span<const ValueId>(fired[t].rows.data() + i * arity,
-                                           arity));
-            }
-          }
-        } else {
-          for (std::size_t i = 0; i < fired[t].num_rows; ++i) {
-            std::span<const ValueId> row(fired[t].rows.data() + i * arity,
-                                         arity);
-            if (!all.HasRow(cr.head_rel, row)) {
-              next_delta.AddRow(cr.head_rel, row);
-            }
-          }
-        }
-      } else {
-        const std::string& head = cr.rule->head.predicate();
-        for (Tuple& tuple : fired[t].tuples) {
-          if (!all.HasFact(head, tuple)) {
-            next_delta.AddFact(head, std::move(tuple));
-          }
-        }
-      }
-    }
-    for (RelationId rel : next_delta.RelationIds()) {
-      const std::size_t n = next_delta.NumRows(rel);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (all.AddRow(rel, next_delta.Row(rel, i)) && stats != nullptr) {
-          ++stats->derived_facts;
-        }
-      }
-    }
-    round_span.AddArg("delta_facts", next_delta.NumFacts());
-    delta = std::move(next_delta);
-  }
+  EvaluateDeltaRounds(joins, deltas, options, all, &round, stats);
   return all;
 }
 

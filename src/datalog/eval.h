@@ -57,31 +57,23 @@ enum class EvalStrategy {
   kSemiNaive,  // delta-driven derivation
 };
 
-/// Full evaluation configuration. `use_index=false` selects the pre-index
-/// scan join path (differential-testing reference). With
-/// `exec.threads > 1`, the semi-naive strategy evaluates each rule's
-/// delta join of a round on its own pool task against the frozen
-/// database; per-task fact buffers and counters are merged in rule order
-/// at the round barrier, so the derived database (including fact
-/// insertion order) and all counters are bit-identical to the serial run.
-/// The naive strategy is the reference implementation and always serial.
+/// Full evaluation configuration. The semi-naive strategy has one round
+/// loop: round 0 fires every rule once through the hom search, and every
+/// later round block-joins each (rule, intensional position) against the
+/// previous round's delta — the tail each relation's arena grew by at the
+/// last barrier — then commits each head relation with one AddRowBatch.
+/// With `exec.threads > 1` the block joins of a round run as pool tasks
+/// against the frozen database; their outputs are merged in task order at
+/// the barrier, so the derived database (including fact insertion order)
+/// and all counters are bit-identical to the serial run. The naive
+/// strategy is the reference implementation and always serial.
 struct EvalOptions {
   EvalStrategy strategy = EvalStrategy::kSemiNaive;
-  bool use_index = true;
   ExecContext exec;
-  /// Semi-naive delta rounds join block-at-a-time: each (rule, delta
-  /// position) task compiles a static-order BlockJoinPlan and resolves
-  /// whole blocks of delta rows with one ProbeMany per body atom per
-  /// block, instead of one recursive search per delta row. Falls back to
-  /// the recursive engine per rule when the shape is unsupported (atom
-  /// wider than 32 positions, non-variable head term) and entirely when
-  /// `use_index` is off. The derived database is the same fact set either
-  /// way; per-engine search counters differ.
-  bool block_delta_joins = true;
-  /// Delta rows per block (bounds frontier memory; must be > 0). Also the
-  /// granularity of delta-join task splitting: each (rule, delta position)
-  /// join is submitted to the pool one block at a time, so a round with
-  /// one wide delta still fans out across workers.
+  /// Delta rows per block (bounds frontier memory; 0 counts as 1). Also
+  /// the granularity of delta-join task splitting: each (rule, delta
+  /// position) join is submitted to the pool one block at a time, so a
+  /// round with one wide delta still fans out across workers.
   std::size_t delta_block_rows = 1024;
   /// Optional observability sinks, borrowed from the caller. Each
   /// EvaluateProgram run emits `datalog/eval`, `datalog/round`,
@@ -96,9 +88,10 @@ struct EvalOptions {
 /// intensional facts, by bottom-up fixpoint. Returns InvalidArgument
 /// (QC004) when a program predicate is used with another arity than the
 /// non-empty `edb` relation of the same name. The semi-naive strategy joins
-/// each rule's delta atom against the delta relation and the remaining
-/// atoms against the full database through the shared per-relation hash
-/// indexes, which are maintained incrementally across rounds.
+/// each rule's delta atom against the rows the previous round appended and
+/// the remaining atoms against the whole working database through its
+/// per-relation hash indexes, which are maintained incrementally across
+/// rounds.
 Result<Database> EvaluateProgram(const DatalogProgram& program,
                                  const Database& edb, const EvalOptions& options,
                                  DatalogEvalStats* stats = nullptr);

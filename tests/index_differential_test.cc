@@ -1,9 +1,9 @@
-// Differential tests for the indexed join substrate: the indexed engine
+// Differential tests for the indexed join substrate: the hom search
 // (dynamic atom order, per-relation hash indexes) must agree with the
-// pre-index scan engine (static greedy order, full relation scans) on
-// randomized instances, and must never enumerate more candidate tuples.
-// Storage and engines are also checked against the brute-force string
-// reference of tests/reference_database.h.
+// scan engine of tests/reference_database.h (static greedy order, full
+// relation scans) on randomized instances, and must never enumerate more
+// candidate tuples. Storage and engines are also checked against the
+// brute-force string reference of the same header.
 
 #include <algorithm>
 #include <random>
@@ -18,15 +18,13 @@
 #include "cq/database.h"
 #include "cq/homomorphism.h"
 #include "datalog/eval.h"
+#include "parser/parser.h"
 #include "structure/acyclic_eval.h"
 #include "tests/generators.h"
 #include "tests/reference_database.h"
 
 namespace qcont {
 namespace {
-
-constexpr HomSearchOptions kIndexed{.use_index = true, .exec = {}};
-constexpr HomSearchOptions kScan{.use_index = false, .exec = {}};
 
 std::vector<Tuple> Sorted(std::vector<Tuple> tuples) {
   std::sort(tuples.begin(), tuples.end());
@@ -38,16 +36,28 @@ std::uint64_t Candidates(const HomSearchStats& stats) {
   return stats.index_candidates + stats.scan_candidates;
 }
 
+// The same random facts loaded into a Database and into the string-tuple
+// oracle (a copied mt19937, so both see one insertion sequence).
+std::pair<Database, testref::ReferenceDatabase> ReferencePair(
+    std::mt19937* rng, const testgen::SchemaSpec& schema, int domain,
+    int facts) {
+  std::mt19937 rng2 = *rng;
+  Database db = testgen::RandomDatabase(rng, schema, domain, facts);
+  testref::ReferenceDatabase ref =
+      testgen::RandomDatabase<testref::ReferenceDatabase>(&rng2, schema,
+                                                          domain, facts);
+  return {std::move(db), std::move(ref)};
+}
+
 TEST(IndexDifferentialTest, FindHomomorphismAgreesOnRandomInstances) {
   std::mt19937 rng(20260807);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 60; ++trial) {
-    Database db = testgen::RandomDatabase(&rng, schema, 4, 12);
+    auto [db, ref] = ReferencePair(&rng, schema, 4, 12);
     ConjunctiveQuery cq = testgen::RandomCq(&rng, schema, 4, 4, 1);
-    HomSearchStats indexed_stats, scan_stats;
-    auto indexed = FindHomomorphism(cq, db, {}, &indexed_stats, kIndexed);
-    auto scan = FindHomomorphism(cq, db, {}, &scan_stats, kScan);
-    EXPECT_EQ(indexed.has_value(), scan.has_value()) << "trial " << trial;
+    auto indexed = FindHomomorphism(cq, db);
+    EXPECT_EQ(indexed.has_value(), !testref::EvaluateCq(cq, ref).empty())
+        << "trial " << trial;
     if (indexed.has_value()) {
       // The witnesses may differ (different search orders), but both must
       // be homomorphisms: every body atom's image must be a fact.
@@ -69,9 +79,8 @@ TEST(IndexDifferentialTest, EvaluateCqAgreesOnRandomInstances) {
     Database db = testgen::RandomDatabase(&rng, schema, 5, 16);
     ConjunctiveQuery cq = testgen::RandomCq(&rng, schema, 3, 4, 2);
     HomSearchStats indexed_stats, scan_stats;
-    std::vector<Tuple> indexed =
-        Sorted(EvaluateCq(cq, db, &indexed_stats, kIndexed));
-    std::vector<Tuple> scan = Sorted(EvaluateCq(cq, db, &scan_stats, kScan));
+    std::vector<Tuple> indexed = Sorted(EvaluateCq(cq, db, &indexed_stats));
+    std::vector<Tuple> scan = testref::ScanEvaluateCq(cq, db, &scan_stats);
     EXPECT_EQ(indexed, scan) << "trial " << trial;
     // The indexed engine only ever shrinks the candidate stream: a probe
     // returns a subset of the rows a full scan would have walked.
@@ -87,8 +96,8 @@ TEST(IndexDifferentialTest, EvaluateUcqAgreesOnRandomInstances) {
     Database db = testgen::RandomDatabase(&rng, schema, 4, 14);
     UnionQuery ucq = testgen::RandomAcyclicUcq(&rng, schema, 3, 3, 1);
     HomSearchStats indexed_stats, scan_stats;
-    EXPECT_EQ(EvaluateUcq(ucq, db, &indexed_stats, kIndexed),
-              EvaluateUcq(ucq, db, &scan_stats, kScan))
+    EXPECT_EQ(EvaluateUcq(ucq, db, &indexed_stats),
+              testref::ScanEvaluateUcq(ucq, db, &scan_stats))
         << "trial " << trial;
     EXPECT_LE(Candidates(indexed_stats), Candidates(scan_stats))
         << "trial " << trial;
@@ -110,8 +119,8 @@ TEST(IndexDifferentialTest, FixedAssignmentsAgree) {
         fixed[t.name()] = db.ActiveDomain()[rng() % db.ActiveDomain().size()];
       }
     }
-    auto indexed = FindHomomorphism(cq, db, fixed, nullptr, kIndexed);
-    auto scan = FindHomomorphism(cq, db, fixed, nullptr, kScan);
+    auto indexed = FindHomomorphism(cq, db, fixed);
+    auto scan = testref::ScanFindHomomorphism(cq, db, fixed);
     EXPECT_EQ(indexed.has_value(), scan.has_value()) << "trial " << trial;
   }
 }
@@ -120,48 +129,18 @@ TEST(IndexDifferentialTest, DatalogFixpointAgreesAcrossEnginesAndStrategies) {
   std::mt19937 rng(31337);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 20; ++trial) {
-    Database edb = testgen::RandomDatabase(&rng, schema, 4, 10);
+    auto [edb, ref] = ReferencePair(&rng, schema, 4, 10);
     DatalogProgram program = testgen::RandomLinearProgram(&rng, schema, 2);
-    std::vector<std::vector<Tuple>> goals;
+    const std::vector<Tuple> want = testref::EvaluateGoal(program, ref);
     for (EvalStrategy strategy :
          {EvalStrategy::kNaive, EvalStrategy::kSemiNaive}) {
-      for (bool use_index : {false, true}) {
-        EvalOptions options;
-        options.strategy = strategy;
-        options.use_index = use_index;
-        auto goal = EvaluateGoal(program, edb, options);
-        ASSERT_TRUE(goal.ok()) << "trial " << trial;
-        goals.push_back(*goal);
-      }
+      EvalOptions options;
+      options.strategy = strategy;
+      auto goal = EvaluateGoal(program, edb, options);
+      ASSERT_TRUE(goal.ok()) << "trial " << trial;
+      EXPECT_EQ(*goal, want) << "trial " << trial << " strategy "
+                             << static_cast<int>(strategy);
     }
-    for (std::size_t i = 1; i < goals.size(); ++i) {
-      EXPECT_EQ(goals[0], goals[i]) << "trial " << trial << " engine " << i;
-    }
-  }
-}
-
-TEST(IndexDifferentialTest, SemiNaiveIndexedNeverScansMoreThanScanEngine) {
-  std::mt19937 rng(555);
-  const testgen::SchemaSpec schema = testgen::BinarySchema();
-  for (int trial = 0; trial < 15; ++trial) {
-    Database edb = testgen::RandomDatabase(&rng, schema, 5, 12);
-    DatalogProgram program = testgen::RandomLinearProgram(&rng, schema, 1);
-    DatalogEvalStats indexed_stats, scan_stats;
-    EvalOptions indexed_options, scan_options;
-    indexed_options.use_index = true;
-    // The candidate-count invariant targets the recursive indexed engine
-    // (a probe returns a subset of a scan). The block-at-a-time engine
-    // fixes its atom order statically and may trade extra candidates for
-    // batched probes; its differential coverage lives in
-    // probe_kernel_test.cc.
-    indexed_options.block_delta_joins = false;
-    scan_options.use_index = false;
-    auto indexed = EvaluateGoal(program, edb, indexed_options, &indexed_stats);
-    auto scan = EvaluateGoal(program, edb, scan_options, &scan_stats);
-    ASSERT_TRUE(indexed.ok() && scan.ok()) << "trial " << trial;
-    EXPECT_EQ(*indexed, *scan) << "trial " << trial;
-    EXPECT_LE(Candidates(indexed_stats.hom), Candidates(scan_stats.hom))
-        << "trial " << trial;
   }
 }
 
@@ -172,17 +151,6 @@ TEST(IndexDifferentialTest, SemiNaiveIndexedNeverScansMoreThanScanEngine) {
 // must produce the answers the oracle's brute-force evaluation produces.
 // ---------------------------------------------------------------------------
 
-std::pair<Database, testref::ReferenceDatabase> ReferencePair(
-    std::mt19937* rng, const testgen::SchemaSpec& schema, int domain,
-    int facts) {
-  std::mt19937 rng2 = *rng;
-  Database db = testgen::RandomDatabase(rng, schema, domain, facts);
-  testref::ReferenceDatabase ref =
-      testgen::RandomDatabase<testref::ReferenceDatabase>(&rng2, schema,
-                                                          domain, facts);
-  return {std::move(db), std::move(ref)};
-}
-
 TEST(ReferenceDifferentialTest, HomSearchMatchesReference) {
   std::mt19937 rng(20260807);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
@@ -190,10 +158,8 @@ TEST(ReferenceDifferentialTest, HomSearchMatchesReference) {
     auto [db, ref] = ReferencePair(&rng, schema, 5, 24);
     ConjunctiveQuery cq = testgen::RandomCq(&rng, schema, 4, 4, 2);
     const std::vector<Tuple> want = testref::EvaluateCq(cq, ref);
-    EXPECT_EQ(Sorted(EvaluateCq(cq, db, nullptr, kIndexed)), want)
-        << "trial " << trial;
-    EXPECT_EQ(Sorted(EvaluateCq(cq, db, nullptr, kScan)), want)
-        << "trial " << trial;
+    EXPECT_EQ(Sorted(EvaluateCq(cq, db)), want) << "trial " << trial;
+    EXPECT_EQ(testref::ScanEvaluateCq(cq, db), want) << "trial " << trial;
   }
 }
 
@@ -204,17 +170,104 @@ TEST(ReferenceDifferentialTest, SemiNaiveEvalMatchesReferenceAcrossThreads) {
     auto [edb, ref] = ReferencePair(&rng, schema, 4, 12);
     DatalogProgram program = testgen::RandomLinearProgram(&rng, schema, 2);
     const std::vector<Tuple> want = testref::EvaluateGoal(program, ref);
-    for (bool use_index : {true, false}) {
-      for (int threads : {1, 8}) {
-        EvalOptions options;
-        options.use_index = use_index;
-        options.exec = ExecContext{.threads = threads, .stats = nullptr};
-        auto goal = EvaluateGoal(program, edb, options);
-        ASSERT_TRUE(goal.ok()) << "trial " << trial;
-        EXPECT_EQ(*goal, want) << "trial " << trial << " use_index "
-                               << use_index << " threads " << threads;
-      }
+    for (int threads : {1, 8}) {
+      EvalOptions options;
+      options.exec = ExecContext{.threads = threads, .stats = nullptr};
+      auto goal = EvaluateGoal(program, edb, options);
+      ASSERT_TRUE(goal.ok()) << "trial " << trial;
+      EXPECT_EQ(*goal, want) << "trial " << trial << " threads " << threads;
     }
+  }
+}
+
+// Semi-naive evaluation at threads {1, 8} against the oracle: the goal
+// tuples must match, and the derived database must render identically at
+// both thread counts (same facts, same insertion order).
+void ExpectSemiNaiveMatchesReference(const DatalogProgram& program,
+                                     const Database& edb,
+                                     const testref::ReferenceDatabase& ref,
+                                     const std::string& where) {
+  const std::vector<Tuple> want = testref::EvaluateGoal(program, ref);
+  std::vector<std::string> dumps;
+  for (int threads : {1, 8}) {
+    EvalOptions options;
+    options.exec = ExecContext{.threads = threads, .stats = nullptr};
+    auto goal = EvaluateGoal(program, edb, options);
+    ASSERT_TRUE(goal.ok()) << where << ": " << goal.status().message();
+    EXPECT_EQ(*goal, want) << where << " threads " << threads;
+    auto derived = EvaluateProgram(program, edb, options);
+    ASSERT_TRUE(derived.ok()) << where;
+    dumps.push_back(derived->ToString());
+  }
+  EXPECT_EQ(dumps[0], dumps[1]) << where;
+}
+
+// x0, ..., x<n-1> with the variables rotated left by `shift`.
+std::string Vars(int n, int shift = 0) {
+  std::string out;
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) out += ",";
+    out += 'x';
+    out += std::to_string((i + shift) % n);
+  }
+  return out;
+}
+
+// The rule shapes that once left the block-join path: Boolean and
+// mutually recursive 0-ary predicates (0-ary deltas, heads and body
+// atoms), atoms wider than the 32-bit probe mask (bound positions past 32
+// checked after the probe), a variable repeated in the delta atom and in
+// a join atom, and a join atom sharing no variable with the rest.
+TEST(ReferenceDifferentialTest, BlockJoinShapesMatchReferenceAcrossThreads) {
+  const int kWide = 34;
+  const std::vector<std::string> programs = {
+      "p() :- e(x,x). goal p.",
+      "q() :- p(). p() :- q(), e(x,y). goal p.",
+      // Rules listed callers-first, so round 0 derives only s and the
+      // 0-ary deltas drive rounds 1 and 2.
+      "p() :- q(), e(x,y). q() :- s(). s() :- e(x,x). "
+      "r(x) :- t(x), z(). t(x) :- e(x,y). g() :- p(), r(x). goal g.",
+      "w(" + Vars(kWide) + ") :- big(" + Vars(kWide) + "). "
+      "w(" + Vars(kWide, 1) + ") :- w(" + Vars(kWide) + "), e(x0,x33). "
+      "u(y,x33) :- u(y,x32), big(" + Vars(kWide) + "). "
+      "u(y,z) :- e(y,z). "
+      "h(" + Vars(kWide) + ") :- w(" + Vars(kWide) + "), u(x0,x33). goal h.",
+      "t(x) :- t(x), e(x,x). t(x) :- m(x). d(x,z) :- d(x,x), e(x,z). "
+      "d(x,y) :- e(x,y). g(x) :- t(x), d(x,x). goal g.",
+      "t(x,y) :- t(x,z), m(y). t(x,y) :- e(x,y). goal t.",
+  };
+  // A small graph with loops, a unary relation, a 0-ary fact and a few
+  // 34-ary rows built from the graph's values.
+  std::vector<std::pair<std::string, Tuple>> facts = {
+      {"e", {"a", "b"}}, {"e", {"b", "c"}}, {"e", {"c", "a"}},
+      {"e", {"b", "b"}}, {"e", {"c", "d"}}, {"e", {"d", "d"}},
+      {"m", {"a"}},      {"m", {"d"}},      {"z", {}},
+  };
+  const std::vector<std::string> values = {"a", "b", "c", "d"};
+  for (int r = 0; r < 4; ++r) {
+    Tuple row;
+    for (int i = 0; i < kWide; ++i) row.push_back(values[(r + i * (r + 1)) % 4]);
+    facts.emplace_back("big", std::move(row));
+  }
+  Database edb;
+  testref::ReferenceDatabase ref;
+  for (const auto& [rel, tuple] : facts) {
+    edb.AddFact(rel, tuple);
+    ref.AddFact(rel, tuple);
+  }
+  for (const std::string& text : programs) {
+    auto program = ParseProgram(text);
+    ASSERT_TRUE(program.ok()) << text << ": " << program.status().message();
+    ExpectSemiNaiveMatchesReference(*program, edb, ref, text);
+  }
+
+  std::mt19937 rng(20261017);
+  const testgen::SchemaSpec schema = testgen::SmallSchema();
+  for (int trial = 0; trial < 12; ++trial) {
+    auto [random_edb, random_ref] = ReferencePair(&rng, schema, 4, 12);
+    DatalogProgram program = testgen::RandomLinearProgram(&rng, schema, 2);
+    ExpectSemiNaiveMatchesReference(program, random_edb, random_ref,
+                                    "trial " + std::to_string(trial));
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests for the parallel execution substrate (base/thread_pool.h) and the
 // determinism contract of the parallel engines: answers, derived databases,
 // and machine-independent counters must be identical for every thread
-// count, and must agree with the scan-engine reference. This binary is
+// count, and must agree with the brute-force reference. This binary is
 // also the main target of the TSAN CI job.
 
 #include <atomic>
@@ -21,6 +21,7 @@
 #include "datalog/eval.h"
 #include "obs/obs.h"
 #include "tests/generators.h"
+#include "tests/reference_database.h"
 
 namespace qcont {
 namespace {
@@ -195,14 +196,10 @@ TEST(ParallelDeterminismTest, UcqContainmentIsThreadCountInvariant) {
                        "trial " + std::to_string(trial) + " threads " +
                            std::to_string(threads));
     }
-    // Scan-engine cross-check: same answer with indexes disabled and the
-    // parallel grid active (counters legitimately differ between engines).
-    HomSearchOptions scan;
-    scan.use_index = false;
-    scan.exec.threads = 8;
-    auto scan_answer = UcqContained(theta, theta_prime, nullptr, scan);
-    ASSERT_TRUE(scan_answer.ok()) << "trial " << trial;
-    EXPECT_EQ(*scan_answer, *serial) << "trial " << trial;
+    // Reference cross-check: brute-force Sagiv–Yannakakis over the
+    // string-tuple oracle gives the same answer.
+    EXPECT_EQ(testref::UcqContained(theta, theta_prime), *serial)
+        << "trial " << trial;
   }
   // The generator must exercise both outcomes for the test to mean much.
   EXPECT_GT(yes, 0);
@@ -266,21 +263,19 @@ TEST(ParallelDeterminismTest, SemiNaiveEvalIsBitIdenticalAcrossThreadCounts) {
                            std::to_string(threads));
     }
 
-    // Semantic cross-checks: the naive reference strategy and the scan
-    // engine agree on the goal answers under parallel evaluation.
+    // Semantic cross-checks: the naive strategy and the brute-force
+    // string-tuple oracle agree with parallel evaluation on the goal.
     EvalOptions naive_options;
     naive_options.strategy = EvalStrategy::kNaive;
     auto naive = EvaluateGoal(program, edb, naive_options);
-    EvalOptions parallel_scan;
-    parallel_scan.use_index = false;
-    parallel_scan.exec.threads = 8;
-    auto scan = EvaluateGoal(program, edb, parallel_scan);
-    EvalOptions parallel_indexed;
-    parallel_indexed.exec.threads = 8;
-    auto indexed = EvaluateGoal(program, edb, parallel_indexed);
-    ASSERT_TRUE(naive.ok() && scan.ok() && indexed.ok()) << "trial " << trial;
-    EXPECT_EQ(*indexed, *naive) << "trial " << trial;
-    EXPECT_EQ(*scan, *naive) << "trial " << trial;
+    EvalOptions parallel_options;
+    parallel_options.exec.threads = 8;
+    auto parallel = EvaluateGoal(program, edb, parallel_options);
+    ASSERT_TRUE(naive.ok() && parallel.ok()) << "trial " << trial;
+    EXPECT_EQ(*parallel, *naive) << "trial " << trial;
+    EXPECT_EQ(*parallel,
+              testref::EvaluateGoal(program, testref::ReferenceOf(edb)))
+        << "trial " << trial;
   }
 }
 

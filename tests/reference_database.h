@@ -6,12 +6,15 @@
 // are full scans, and conjunctive queries and Datalog programs are
 // evaluated by brute-force matching over the strings. It shares no code
 // with the storage layer (no interning, no probe tables, no arenas), so
-// agreement with it is evidence rather than tautology.
+// agreement with it is evidence rather than tautology. The scan hom search
+// (ScanSearcher) reads a Database through its string facts only; it is the
+// candidate-count reference for the indexed search.
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -21,6 +24,7 @@
 
 #include "cq/atom.h"
 #include "cq/database.h"
+#include "cq/homomorphism.h"
 #include "cq/query.h"
 #include "datalog/program.h"
 
@@ -113,6 +117,169 @@ class ReferenceDatabase {
   std::unordered_set<Value> domain_set_;
 };
 
+// ---------------------------------------------------------------------------
+// Scan engine: the pre-index hom search. Static greedy atom order, full
+// relation scan per atom, string-keyed bindings, reading a Database only
+// through `Facts`. It is the reference the candidate-bound tests hold the
+// indexed search to: a probe returns a subset of the rows a scan walks, so
+// the indexed search never inspects more candidates than this one.
+// ---------------------------------------------------------------------------
+struct ScanSearcher {
+  std::vector<Atom> atoms;                // ordered at construction
+  std::vector<const Database*> dbs;       // parallel to `atoms`
+  Assignment binding;
+  HomSearchStats* stats;
+  const std::function<bool(const Assignment&)>* visit = nullptr;
+  bool stopped = false;
+
+  ScanSearcher(const std::vector<Atom>& atoms_in,
+               const std::vector<const Database*>& dbs_in,
+               const Assignment& fixed, HomSearchStats* stats_in)
+      : atoms(atoms_in), dbs(dbs_in), binding(fixed), stats(stats_in) {
+    OrderAtoms();
+  }
+
+  // Greedy static order: repeatedly pick the atom with the most variables
+  // already covered by earlier atoms (or `fixed`), tie-broken by smaller
+  // relation. Keeps the search close to a join order a planner would pick.
+  void OrderAtoms() {
+    std::vector<Atom> ordered;
+    std::vector<const Database*> ordered_dbs;
+    std::set<std::string> bound;
+    for (const auto& [var, value] : binding) bound.insert(var);
+    std::vector<bool> used(atoms.size(), false);
+    for (std::size_t round = 0; round < atoms.size(); ++round) {
+      int best = -1;
+      long best_score = -1;
+      for (std::size_t i = 0; i < atoms.size(); ++i) {
+        if (used[i]) continue;
+        long covered = 0;
+        for (const Term& t : atoms[i].terms()) {
+          if (t.is_constant() || bound.count(t.name())) ++covered;
+        }
+        // Prefer high coverage, then small relations.
+        long score =
+            covered * 1000000 -
+            static_cast<long>(dbs[i]->Facts(atoms[i].predicate()).size());
+        if (best < 0 || score > best_score) {
+          best = static_cast<int>(i);
+          best_score = score;
+        }
+      }
+      used[best] = true;
+      for (const Term& t : atoms[best].terms()) {
+        if (t.is_variable()) bound.insert(t.name());
+      }
+      ordered.push_back(atoms[best]);
+      ordered_dbs.push_back(dbs[best]);
+    }
+    atoms = std::move(ordered);
+    dbs = std::move(ordered_dbs);
+  }
+
+  void Recurse(std::size_t index) {
+    if (stopped) return;
+    if (index == atoms.size()) {
+      if (!(*visit)(binding)) stopped = true;
+      return;
+    }
+    const Atom& atom = atoms[index];
+    for (const Tuple& fact : dbs[index]->Facts(atom.predicate())) {
+      if (fact.size() != atom.arity()) continue;
+      if (stats != nullptr) {
+        ++stats->atom_attempts;
+        ++stats->scan_candidates;
+      }
+      // Try to unify atom terms with the fact.
+      std::vector<std::string> newly_bound;
+      bool ok = true;
+      for (std::size_t i = 0; i < fact.size(); ++i) {
+        const Term& t = atom.terms()[i];
+        if (t.is_constant()) {
+          if (t.name() != fact[i]) {
+            ok = false;
+            break;
+          }
+          continue;
+        }
+        auto it = binding.find(t.name());
+        if (it != binding.end()) {
+          if (it->second != fact[i]) {
+            ok = false;
+            break;
+          }
+        } else {
+          binding.emplace(t.name(), fact[i]);
+          newly_bound.push_back(t.name());
+        }
+      }
+      if (ok) {
+        Recurse(index + 1);
+      } else if (stats != nullptr) {
+        ++stats->backtracks;
+      }
+      for (const std::string& var : newly_bound) binding.erase(var);
+      if (stopped) return;
+    }
+  }
+};
+
+
+/// Enumerates the homomorphisms of `cq`'s body into `db` extending `fixed`
+/// with the scan engine.
+inline void ScanEnumerate(const ConjunctiveQuery& cq, const Database& db,
+                          const Assignment& fixed,
+                          const std::function<bool(const Assignment&)>& visit,
+                          HomSearchStats* stats = nullptr) {
+  std::vector<const Database*> dbs(cq.atoms().size(), &db);
+  ScanSearcher searcher(cq.atoms(), dbs, fixed, stats);
+  searcher.visit = &visit;
+  searcher.Recurse(0);
+}
+
+/// FindHomomorphism through the scan engine.
+inline std::optional<Assignment> ScanFindHomomorphism(
+    const ConjunctiveQuery& cq, const Database& db,
+    const Assignment& fixed = {}, HomSearchStats* stats = nullptr) {
+  std::optional<Assignment> found;
+  ScanEnumerate(
+      cq, db, fixed,
+      [&found](const Assignment& h) {
+        found = h;
+        return false;
+      },
+      stats);
+  return found;
+}
+
+/// EvaluateCq through the scan engine: distinct head tuples, sorted.
+inline std::vector<Tuple> ScanEvaluateCq(const ConjunctiveQuery& cq,
+                                         const Database& db,
+                                         HomSearchStats* stats = nullptr) {
+  std::set<Tuple> results;
+  ScanEnumerate(
+      cq, db, /*fixed=*/{},
+      [&](const Assignment& h) {
+        Tuple out;
+        for (const Term& t : cq.head()) out.push_back(h.at(t.name()));
+        results.insert(std::move(out));
+        return true;
+      },
+      stats);
+  return {results.begin(), results.end()};
+}
+
+/// EvaluateUcq through the scan engine: the union, deduplicated and sorted.
+inline std::vector<Tuple> ScanEvaluateUcq(const UnionQuery& ucq,
+                                          const Database& db,
+                                          HomSearchStats* stats = nullptr) {
+  std::set<Tuple> results;
+  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
+    for (Tuple& t : ScanEvaluateCq(cq, db, stats)) results.insert(std::move(t));
+  }
+  return {results.begin(), results.end()};
+}
+
 using Binding = std::map<std::string, Value>;
 
 /// Calls `visit` once per extension of `*binding` that maps every atom of
@@ -179,6 +346,43 @@ inline std::vector<Tuple> EvaluateGoal(const DatalogProgram& program,
   std::vector<Tuple> goal = db.Facts(program.goal_predicate());
   std::sort(goal.begin(), goal.end());
   return goal;
+}
+
+/// The string facts of `db` loaded into a reference database (relations in
+/// sorted order, facts in row order).
+inline ReferenceDatabase ReferenceOf(const Database& db) {
+  ReferenceDatabase ref;
+  for (const std::string& rel : db.Relations()) {
+    for (const Tuple& t : db.Facts(rel)) ref.AddFact(rel, t);
+  }
+  return ref;
+}
+
+/// Θ ⊆ Θ' by Sagiv–Yannakakis over brute-force evaluation: every disjunct
+/// θ's frozen head must be an answer of some θ' on θ's canonical database
+/// (each variable frozen to its name, constants kept).
+inline bool UcqContained(const UnionQuery& theta,
+                         const UnionQuery& theta_prime) {
+  for (const ConjunctiveQuery& d : theta.disjuncts()) {
+    ReferenceDatabase canonical;
+    for (const Atom& a : d.atoms()) {
+      Tuple t;
+      for (const Term& term : a.terms()) t.push_back(term.name());
+      canonical.AddFact(a.predicate(), std::move(t));
+    }
+    Tuple head;
+    for (const Term& term : d.head()) head.push_back(term.name());
+    bool covered = false;
+    for (const ConjunctiveQuery& dp : theta_prime.disjuncts()) {
+      const std::vector<Tuple> answers = EvaluateCq(dp, canonical);
+      if (std::binary_search(answers.begin(), answers.end(), head)) {
+        covered = true;
+        break;
+      }
+    }
+    if (!covered) return false;
+  }
+  return true;
 }
 
 }  // namespace testref

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates a qcont Chrome trace_event JSON file.
 
-Usage: check_trace.py TRACE.json [TRACE2.json ...]
+Usage: check_trace.py [--catalog DESIGN.md] TRACE.json [TRACE2.json ...]
 
 Checks, per file:
   - parses as JSON, top level has "traceEvents" (list) and
@@ -12,6 +12,9 @@ Checks, per file:
   - span names use the "<component>/<operation>" taxonomy of DESIGN.md
     §12 (one '/', non-empty halves);
   - "args", when present, maps string keys to integers;
+  - with --catalog, every span name and every arg key appears in the span
+    taxonomy table of the given DESIGN.md (§12), where a name written
+    with a <placeholder> segment (e.g. cli/<mode>) matches any segment;
   - events on the same tid nest properly: spans overlap only by full
     containment, never partially (Perfetto renders partial overlap as
     corrupt tracks).
@@ -21,6 +24,7 @@ Exit code 0 when every file passes, 1 otherwise. Non-trace problems
 """
 
 import json
+import re
 import sys
 
 REQUIRED_TOP = ("traceEvents", "displayTimeUnit")
@@ -86,7 +90,7 @@ def check_nesting(path, events):
     return ok
 
 
-def check_file(path):
+def check_file(path, catalog=None):
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -107,16 +111,90 @@ def check_file(path):
     ok = all(check_event(path, i, ev) for i, ev in enumerate(events))
     if ok:
         ok = check_nesting(path, events)
+    if ok and catalog is not None:
+        ok = check_catalog(path, events, catalog)
     if ok:
         print(f"check_trace: {path}: OK ({len(events)} events)")
     return ok
 
 
+def load_catalog(path):
+    """Parses the span taxonomy table of DESIGN.md §12.
+
+    Returns a list of (name regex, allowed arg keys) pairs, one per span
+    name listed in a table row. A row may list several spans; they share
+    the row's args. Raises ValueError when no table is found.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    section = re.search(r"^## 12\..*?(?=^## )", text, re.S | re.M)
+    if section is None:
+        raise ValueError(f"{path}: no '## 12.' section")
+    rows = []
+    in_table = False
+    for line in section.group(0).splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| span |"):
+            in_table = True
+            continue
+        if not in_table:
+            continue
+        if not line.startswith("|"):
+            break
+        if set(cells[0]) <= set("-: "):
+            continue  # the |---| separator row
+        if len(cells) != 4:
+            raise ValueError(f"{path}: span row without 4 cells: {line!r}")
+        args = set(re.findall(r"`([^`]+)`", cells[3]))
+        for name in re.findall(r"`([^`]+)`", cells[0]):
+            parts = re.split(r"<[^>]+>", name)
+            pattern = "[^/]+".join(re.escape(part) for part in parts)
+            rows.append((re.compile(f"^{pattern}$"), args))
+    if not rows:
+        raise ValueError(f"{path}: no span taxonomy table in §12")
+    return rows
+
+
+def check_catalog(path, events, catalog):
+    """Every span name must match a catalogue row, every arg key be listed."""
+    ok = True
+    for i, ev in enumerate(events):
+        allowed = None
+        for pattern, args in catalog:
+            if pattern.match(ev["name"]):
+                allowed = args
+                break
+        if allowed is None:
+            ok = fail(path, f"traceEvents[{i}]: span {ev['name']!r} "
+                      "is not in the catalog")
+            continue
+        for key in ev.get("args") or {}:
+            if key not in allowed:
+                ok = fail(path, f"traceEvents[{i}]: span {ev['name']!r} "
+                          f"arg {key!r} is not in the catalog")
+    return ok
+
+
 def main(argv):
-    if len(argv) < 2:
+    args = argv[1:]
+    catalog = None
+    if args and args[0].startswith("--catalog"):
+        if args[0] == "--catalog":
+            if len(args) < 2:
+                print(__doc__.strip(), file=sys.stderr)
+                return 1
+            catalog_path, args = args[1], args[2:]
+        else:
+            catalog_path, args = args[0].split("=", 1)[1], args[1:]
+        try:
+            catalog = load_catalog(catalog_path)
+        except (OSError, ValueError) as e:
+            print(f"check_trace: {e}", file=sys.stderr)
+            return 1
+    if not args:
         print(__doc__.strip(), file=sys.stderr)
         return 1
-    return 0 if all([check_file(p) for p in argv[1:]]) else 1
+    return 0 if all([check_file(p, catalog) for p in args]) else 1
 
 
 if __name__ == "__main__":
