@@ -203,8 +203,8 @@ void BM_SameGeneration(benchmark::State& state) {
     for (int node : level) {
       for (int c = 0; c < 2; ++c) {
         ++id;
-        db.AddFact("up", {"n" + std::to_string(id), "n" + std::to_string(node)});
-        db.AddFact("down", {"n" + std::to_string(node), "n" + std::to_string(id)});
+        db.AddFact("up", {bench::Numbered("n", id), bench::Numbered("n", node)});
+        db.AddFact("down", {bench::Numbered("n", node), bench::Numbered("n", id)});
         next.push_back(id);
       }
     }

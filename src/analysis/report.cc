@@ -118,12 +118,19 @@ std::uint64_t CanonicalDatabaseHash(const Database& db) {
   // Per-fact FNV-1a digests combined with + : commutative, so the hash is
   // a function of the fact *set*. Facts are self-delimiting inside their
   // digest (Text() NUL-terminates), so fields cannot run into each other.
+  // Names are read from the pool per value, so the bytes hashed do not
+  // depend on the pool's id assignment.
   std::uint64_t combined = 0;
-  for (const std::string& relation : db.Relations()) {
-    for (const Tuple& tuple : db.Facts(relation)) {
-      CanonicalHasher h;
-      h.Text(relation);
-      for (const Value& v : tuple) h.Text(v);
+  for (const RelationId rel : db.RelationIds()) {
+    CanonicalHasher prefix;  // every fact's digest starts with the name
+    prefix.Text(db.ValueName(rel));
+    const std::span<const ValueId> arena = db.Arena(rel);
+    const std::size_t arity = db.Arity(rel);
+    for (std::size_t r = 0; r < db.NumRows(rel); ++r) {
+      CanonicalHasher h = prefix;
+      for (std::size_t i = 0; i < arity; ++i) {
+        h.Text(db.ValueName(arena[r * arity + i]));
+      }
       combined += h.Finish();
     }
   }

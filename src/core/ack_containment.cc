@@ -342,7 +342,9 @@ class AckEngine {
           while (true) {
             std::string combo_key =
                 std::to_string(k) + "/" + std::to_string(rp);
-            for (int c : combo) combo_key += "," + std::to_string(c);
+            for (int c : combo) {
+              combo_key.append(",").append(std::to_string(c));
+            }
             if (processed_.insert(combo_key).second) {
               ++run_.combos;
               if (processed_.size() > limits_.max_combos) {

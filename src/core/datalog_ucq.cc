@@ -107,7 +107,7 @@ struct SubtreeType {
   std::string Canonical() const {
     std::string out;
     for (std::size_t d = 0; d < per_disjunct.size(); ++d) {
-      out += "#" + std::to_string(d) + ";";
+      out.append("#").append(std::to_string(d)).append(";");
       for (const Element& e : per_disjunct[d]) {
         out += std::to_string(e.atoms);
         out += ':';

@@ -126,7 +126,7 @@ ConjunctiveQuery BuildWitnessCq(
   const std::vector<int>& pattern = kinds.KeyOf(root_kind).pattern;
   std::vector<std::string> head_names(pattern.size());
   for (std::size_t i = 0; i < pattern.size(); ++i) {
-    head_names[i] = "x" + std::to_string(pattern[i]);
+    head_names[i] = std::string("x").append(std::to_string(pattern[i]));
   }
   std::function<void(int, long, const std::vector<std::string>&)> collect =
       [&](int kind_id, long token, const std::vector<std::string>& names_in) {
@@ -138,7 +138,7 @@ ConjunctiveQuery BuildWitnessCq(
         }
         auto name_of = [&](int w) -> const std::string& {
           auto [it, inserted] = names.emplace(w, "");
-          if (inserted) it->second = "v" + std::to_string(fresh++);
+          if (inserted) it->second.append("v").append(std::to_string(fresh++));
           return it->second;
         };
         for (const auto& [pred, terms] : rule.edb_atoms) {

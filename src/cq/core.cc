@@ -1,5 +1,7 @@
 #include "cq/core.h"
 
+#include <algorithm>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -58,21 +60,16 @@ Result<ConjunctiveQuery> CoreOf(const ConjunctiveQuery& cq) {
     for (const Term& v : current.ExistentialVariables()) {
       // A retraction eliminating v maps every atom onto a fact that does not
       // mention the frozen value of v.
-      Database restricted;
+      const ValueId v_id = canonical.ValueIdOf(v.name());
+      Database restricted(canonical.pool());
       bool v_used = false;
-      for (const std::string& rel : canonical.Relations()) {
-        for (const Tuple& fact : canonical.Facts(rel)) {
-          bool mentions_v = false;
-          for (const Value& val : fact) {
-            if (val == v.name()) {
-              mentions_v = true;
-              break;
-            }
-          }
-          if (mentions_v) {
+      for (const RelationId rel : canonical.RelationIds()) {
+        for (std::size_t r = 0; r < canonical.NumRows(rel); ++r) {
+          const std::span<const ValueId> fact = canonical.Row(rel, r);
+          if (std::find(fact.begin(), fact.end(), v_id) != fact.end()) {
             v_used = true;
           } else {
-            restricted.AddFact(rel, fact);
+            restricted.AddRow(rel, fact);
           }
         }
       }

@@ -20,6 +20,11 @@ namespace {
 // SWAR words in the scalar build) per group.
 constexpr std::uint32_t kGroupWidth = 16;
 
+// Maximum probe-table load and ProbeMany prefetch lookahead (keys), chosen
+// from the committed BENCH_probe_kernel.json sweep (DESIGN.md §16).
+constexpr std::size_t kMaxLoadPercent = 75;
+constexpr std::size_t kPrefetchDistance = 8;
+
 // Overhang of the tag array past the slot capacity: the first group is
 // mirrored there so a group load starting at any slot index stays in
 // bounds.
@@ -211,20 +216,18 @@ void Database::FlushProbeCounters(const LocalProbeCounters& c) const {
   }
 }
 
-// Grows `idx` so that `keys` occupied slots stay at or under the
-// configured load factor (ProbeOptions::max_load_percent, default 75).
-// Growing rehashes the slots and rebuilds the tag array and Bloom filter —
-// the postings arena and wide-key storage are untouched.
+// Grows `idx` so that `keys` occupied slots stay at or under
+// kMaxLoadPercent. Growing rehashes the slots and rebuilds the tag array
+// and Bloom filter — the postings arena and wide-key storage are untouched.
 void Database::EnsureFlatCapacity(FlatIndex* idx, std::size_t keys) const {
   const std::size_t cap = idx->slots.size();
-  const auto load = static_cast<std::size_t>(probe_options_.max_load_percent);
-  if (cap != 0 && keys * 100 <= cap * load) return;
+  if (cap != 0 && keys * 100 <= cap * kMaxLoadPercent) return;
   // Start at 32 slots: small relations (canonical databases are a few dozen
   // rows) reach steady state with at most one growth rebuild, which now
   // rebuilds tag and filter metadata alongside the slots. ~0.8 KB per
   // index at rest.
   std::size_t new_cap = cap == 0 ? 32 : cap;
-  while (keys * 100 > new_cap * load) new_cap <<= 1;
+  while (keys * 100 > new_cap * kMaxLoadPercent) new_cap <<= 1;
   std::vector<FlatIndex::Slot> old = std::move(idx->slots);
   idx->slots.assign(new_cap, FlatIndex::Slot{});
   idx->tags.assign(new_cap + kTagMirror, 0);
@@ -281,7 +284,7 @@ std::span<const std::uint32_t> Database::LookupFlat(
   if (idx.slots.empty()) return {};
   const std::uint64_t packed = PackedKey(idx.key_width, key);
   const std::uint64_t h = HashKey(idx, key, packed);
-  if (probe_options_.use_filters && !BloomMayContain(idx.bloom, h)) {
+  if (!BloomMayContain(idx.bloom, h)) {
     stats_stripe().filter_skips.fetch_add(1, std::memory_order_relaxed);
     return {};
   }
@@ -399,7 +402,6 @@ Database::RelationData& Database::EnsureRelation(RelationId rel) {
     slot = static_cast<std::int32_t>(rels_.size());
     rel_slot_[rel] = slot;
     rels_.emplace_back();
-    rels_.back().name = pool_->NameOf(rel);
     rels_.back().id = rel;
     rel_ids_.push_back(rel);
     relations_dirty_ = true;
@@ -418,7 +420,7 @@ void Database::CheckArity(RelationData& data, std::size_t arity) {
 
 void Database::CommitRow(RelationData& data, std::size_t slot_i,
                          std::span<const ValueId> row, std::uint64_t packed,
-                         std::uint64_t h, Tuple* tuple) {
+                         std::uint64_t h) {
   FlatIndex& idx = data.primary;
   FlatIndex::Slot& s = idx.slots[slot_i];
   if (idx.key_width <= 2) {
@@ -435,26 +437,15 @@ void Database::CommitRow(RelationData& data, std::size_t slot_i,
   s.len = 1;
   idx.postings.push_back(static_cast<std::uint32_t>(data.num_rows));
   data.arena.insert(data.arena.end(), row.begin(), row.end());
-  Tuple out;
-  if (tuple != nullptr) {
-    out = std::move(*tuple);
-  } else {
-    out.reserve(row.size());
-    for (ValueId id : row) out.push_back(pool_->NameOf(id));
+  for (const ValueId v : row) {
+    if (domain_ids_.insert(v).second) domain_ids_list_.push_back(v);
   }
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (domain_ids_.insert(row[i]).second) {
-      domain_.push_back(out[i]);
-      domain_ids_list_.push_back(row[i]);
-    }
-  }
-  data.tuples.push_back(std::move(out));
   ++data.num_rows;
   ++num_facts_;
 }
 
-bool Database::AddRowInternal(RelationData& data, std::span<const ValueId> row,
-                              Tuple* tuple) {
+bool Database::AddRowInternal(RelationData& data,
+                              std::span<const ValueId> row) {
   CheckArity(data, row.size());
   // Duplicate detection through the eager full-row table; a hit means the
   // fact exists and nothing below runs — in particular the mutation epoch
@@ -469,7 +460,7 @@ bool Database::AddRowInternal(RelationData& data, std::span<const ValueId> row,
   const std::size_t i = FindSlot(idx, row, packed, h, &ignored);
   if (idx.slots[i].key != 0) return false;
   BumpEpoch();
-  CommitRow(data, i, row, packed, h, tuple);
+  CommitRow(data, i, row, packed, h);
   return true;
 }
 
@@ -478,11 +469,11 @@ bool Database::AddFact(const std::string& relation, Tuple tuple) {
   std::vector<ValueId> row;
   row.reserve(tuple.size());
   for (const Value& v : tuple) row.push_back(pool_->Intern(v));
-  return AddRowInternal(data, row, &tuple);
+  return AddRowInternal(data, row);
 }
 
 bool Database::AddRow(RelationId rel, std::span<const ValueId> row) {
-  return AddRowInternal(EnsureRelation(rel), row, nullptr);
+  return AddRowInternal(EnsureRelation(rel), row);
 }
 
 // The per-candidate sequence is AddRowInternal's — capacity ensured before
@@ -502,7 +493,6 @@ std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
   RelationData& data = EnsureRelation(rel);
   CheckArity(data, arity);
   const auto w = static_cast<std::uint32_t>(arity);
-  const bool filter = probe_options_.use_filters;
   FlatIndex& idx = data.primary;
   LocalProbeCounters c;
   const std::size_t before = data.num_rows;
@@ -512,7 +502,7 @@ std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
     const std::uint64_t h = HashRowKey(w, key, packed);
     EnsureFlatCapacity(&idx, idx.used + 1);
     std::size_t slot_i;
-    if (filter && !BloomMayContain(idx.bloom, h)) {
+    if (!BloomMayContain(idx.bloom, h)) {
       // A filter miss proves the row absent, even against earlier claims
       // of this batch (claims BloomAdd).
       ++c.filter_skips;
@@ -522,7 +512,7 @@ std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
       slot_i = FindSlot(idx, key, packed, h, &c);
       if (idx.slots[slot_i].key != 0) continue;  // duplicate
     }
-    CommitRow(data, slot_i, key, packed, h, nullptr);
+    CommitRow(data, slot_i, key, packed, h);
   }
   FlushProbeCounters(c);
   return data.num_rows - before;
@@ -548,10 +538,21 @@ bool Database::HasFact(const std::string& relation, const Tuple& tuple) const {
   return HasRow(rel, row);
 }
 
-const std::vector<Tuple>& Database::Facts(const std::string& relation) const {
-  static const std::vector<Tuple>* const kEmpty = new std::vector<Tuple>();
+std::vector<Tuple> Database::Facts(const std::string& relation) const {
+  std::vector<Tuple> out;
   const RelationData* data = FindRelation(pool_->Find(relation));
-  return data == nullptr ? *kEmpty : data->tuples;
+  if (data == nullptr) return out;
+  out.resize(data->num_rows);
+  for (std::size_t i = 0; i < data->arena.size(); ++i) {
+    out[i / data->arity].push_back(pool_->NameOf(data->arena[i]));
+  }
+  return out;
+}
+
+std::vector<Value> Database::ActiveDomain() const {
+  std::vector<Value> out;
+  for (const ValueId v : domain_ids_list_) out.push_back(pool_->NameOf(v));
+  return out;
 }
 
 std::size_t Database::NumRows(RelationId rel) const {
@@ -588,12 +589,6 @@ std::span<const std::uint32_t> Database::Probe(
   return LookupFlat(*EnsureFlatIndex(*data, mask), key);
 }
 
-std::span<const std::uint32_t> Database::Probe(
-    const std::string& relation, std::uint32_t mask,
-    std::span<const ValueId> key) const {
-  return Probe(pool_->Find(relation), mask, key);
-}
-
 void Database::ProbeMany(RelationId rel, std::uint32_t mask,
                          std::span<const ValueId> keys,
                          std::span<std::span<const std::uint32_t>> out) const {
@@ -626,21 +621,16 @@ void Database::ProbeMany(RelationId rel, std::uint32_t mask,
     packs[i] = PackedKey(w, key);
     hashes[i] = HashKey(*idx, key, packs[i]);
   }
-  const bool filter = probe_options_.use_filters;
-  const std::size_t dist =
-      std::min<std::size_t>(probe_options_.prefetch_distance, n);
-  if (dist > 0) {
-    stats_stripe().prefetch_batches.fetch_add((n + dist - 1) / dist,
-                                              std::memory_order_relaxed);
-  }
+  const std::size_t dist = std::min(kPrefetchDistance, n);
+  stats_stripe().prefetch_batches.fetch_add((n + dist - 1) / dist,
+                                            std::memory_order_relaxed);
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + dist < n && (!filter || BloomMayContain(idx->bloom,
-                                                    hashes[i + dist]))) {
+    if (i + dist < n && BloomMayContain(idx->bloom, hashes[i + dist])) {
       const std::size_t home = hashes[i + dist] & cap_mask;
       PrefetchRead(idx->tags.data() + home);
       PrefetchRead(idx->slots.data() + home);
     }
-    if (filter && !BloomMayContain(idx->bloom, hashes[i])) {
+    if (!BloomMayContain(idx->bloom, hashes[i])) {
       ++c.filter_skips;
       out[i] = {};
       continue;
@@ -656,12 +646,6 @@ void Database::ProbeMany(RelationId rel, std::uint32_t mask,
   FlushProbeCounters(c);
 }
 
-void Database::set_probe_options(const ProbeOptions& options) {
-  ProbeOptions clamped = options;
-  clamped.max_load_percent = std::clamp(clamped.max_load_percent, 40, 90);
-  probe_options_ = clamped;
-}
-
 const std::vector<std::string>& Database::Relations() const {
   {
     std::shared_lock<std::shared_mutex> lock(memo_mu_.mu);
@@ -673,7 +657,9 @@ const std::vector<std::string>& Database::Relations() const {
     relations_cache_.clear();
     relations_cache_.reserve(rels_.size());
     for (const RelationData& data : rels_) {
-      if (data.num_rows > 0) relations_cache_.push_back(data.name);
+      if (data.num_rows > 0) {
+        relations_cache_.push_back(pool_->NameOf(data.id));
+      }
     }
     std::sort(relations_cache_.begin(), relations_cache_.end());
     relations_dirty_ = false;
@@ -682,8 +668,20 @@ const std::vector<std::string>& Database::Relations() const {
 }
 
 void Database::UnionWith(const Database& other) {
+  const bool shared = pool_ == other.pool_;
+  auto mine = [&](SymbolId id) {
+    return shared ? id : pool_->Intern(other.pool_->NameOf(id));
+  };
+  std::vector<ValueId> row;
   for (const RelationData& data : other.rels_) {
-    for (const Tuple& t : data.tuples) AddFact(data.name, t);
+    RelationData& into = EnsureRelation(mine(data.id));
+    for (std::size_t r = 0; r < data.num_rows; ++r) {
+      row.clear();
+      for (std::size_t i = 0; i < data.arity; ++i) {
+        row.push_back(mine(data.arena[r * data.arity + i]));
+      }
+      AddRowInternal(into, row);
+    }
   }
 }
 

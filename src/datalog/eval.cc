@@ -239,11 +239,11 @@ Status CheckEdbArities(const DatalogProgram& program, const Database& edb) {
   return Status::Ok();
 }
 
+// Requires a validated program; checks the EDB's arities against it.
 Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
                                      const Database& edb,
                                      const EvalOptions& options,
                                      DatalogEvalStats* stats) {
-  QCONT_RETURN_IF_ERROR(program.Validate());
   QCONT_RETURN_IF_ERROR(CheckEdbArities(program, edb));
   ObsSpan eval_span(options.obs, "datalog/eval", "datalog");
   eval_span.AddArg("rules", program.rules().size());
@@ -305,17 +305,15 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
   return all;
 }
 
-}  // namespace
-
 // Publish funnel: with a metric sink attached, gather the run's counters
 // into a run-local struct, publish once at the end (the same deltas that
 // merge into the caller's legacy sink), and mirror the working database's
 // index counters as `db.*` gauges (including the open-addressing probe
-// table's collision and resize counters).
-Result<Database> EvaluateProgram(const DatalogProgram& program,
-                                 const Database& edb,
-                                 const EvalOptions& options,
-                                 DatalogEvalStats* stats) {
+// table's collision and resize counters). Requires a validated program.
+Result<Database> EvaluateValidatedProgram(const DatalogProgram& program,
+                                          const Database& edb,
+                                          const EvalOptions& options,
+                                          DatalogEvalStats* stats) {
   MetricRegistry* metrics = ObsMetrics(options.obs);
   if (metrics == nullptr) {
     return EvaluateProgramImpl(program, edb, options, stats);
@@ -340,6 +338,16 @@ Result<Database> EvaluateProgram(const DatalogProgram& program,
   return result;
 }
 
+}  // namespace
+
+Result<Database> EvaluateProgram(const DatalogProgram& program,
+                                 const Database& edb,
+                                 const EvalOptions& options,
+                                 DatalogEvalStats* stats) {
+  QCONT_RETURN_IF_ERROR(program.Validate());
+  return EvaluateValidatedProgram(program, edb, options, stats);
+}
+
 Result<Database> EvaluateProgram(const DatalogProgram& program,
                                  const Database& edb, EvalStrategy strategy,
                                  DatalogEvalStats* stats) {
@@ -354,15 +362,15 @@ Result<std::vector<Tuple>> EvaluateGoal(const DatalogProgram& program,
                                         DatalogEvalStats* stats) {
   QCONT_ASSIGN_OR_RETURN(Database all,
                          EvaluateProgram(program, edb, options, stats));
-  const std::vector<Tuple>& facts = all.Facts(program.goal_predicate());
-  const std::size_t n = facts.size();
   const RelationId goal = all.RelationIdOf(program.goal_predicate());
-  const std::size_t arity = goal == kNoRelation ? 0 : all.Arity(goal);
-  if (n <= 1 || arity == 0) return facts;
-  // Sorting the string tuples directly costs a string compare per
-  // comparison; instead rank the distinct values by name once and sort the
-  // interned rows under that rank — element-wise it is the same order, so
-  // the output is byte-identical to std::sort over the tuples.
+  const std::size_t n = all.NumRows(goal);
+  const std::size_t arity = all.Arity(goal);
+  if (arity == 0) return std::vector<Tuple>(n);  // n ≤ 1 empty tuples
+  // Sorting string tuples costs a string compare per comparison; instead
+  // rank the distinct values by name once and sort the interned rows under
+  // that rank — element-wise it is the same order as std::sort over the
+  // rendered tuples. Each distinct value is looked up in the pool once and
+  // the output is rendered from the rank table.
   std::unordered_map<ValueId, std::uint32_t> rank;
   for (std::size_t r = 0; r < n; ++r) {
     for (const ValueId v : all.Row(goal, r)) rank.emplace(v, 0);
@@ -390,9 +398,14 @@ Result<std::vector<Tuple>> EvaluateGoal(const DatalogProgram& program,
               return std::lexicographical_compare(ka, ka + arity, kb,
                                                   kb + arity);
             });
-  std::vector<Tuple> out;
-  out.reserve(n);
-  for (const std::uint32_t r : order) out.push_back(facts[r]);
+  std::vector<Tuple> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t* key = keys.data() + order[i] * arity;
+    out[i].reserve(arity);
+    for (std::size_t j = 0; j < arity; ++j) {
+      out[i].emplace_back(named[key[j]].first);
+    }
+  }
   return out;
 }
 
@@ -414,10 +427,12 @@ Result<bool> UcqContainedInDatalog(const UnionQuery& theta,
   if (static_cast<int>(theta.arity()) != program.GoalArity()) {
     return InvalidArgumentError("UCQ arity differs from goal arity");
   }
+  // Π is validated once above; each disjunct only adds its EDB arity check.
   for (const ConjunctiveQuery& disjunct : theta.disjuncts()) {
     Database canonical = CanonicalDatabase(disjunct);
-    QCONT_ASSIGN_OR_RETURN(Database derived,
-                           EvaluateProgram(program, canonical, options, stats));
+    QCONT_ASSIGN_OR_RETURN(
+        Database derived,
+        EvaluateValidatedProgram(program, canonical, options, stats));
     if (!derived.HasFact(program.goal_predicate(), CanonicalHead(disjunct))) {
       return false;
     }

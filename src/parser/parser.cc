@@ -1,7 +1,9 @@
 #include "parser/parser.h"
 
 #include <cctype>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace qcont {
@@ -371,9 +373,10 @@ Result<UC2rpq> ParseUC2rpq(const std::string& text, SourceLines* lines) {
   return out;
 }
 
-Result<Database> ParseDatabase(const std::string& text) {
+Result<Database> ParseDatabase(const std::string& text,
+                               std::shared_ptr<Interner> pool) {
   QCONT_ASSIGN_OR_RETURN(RuleParser parser, ParseRules(text));
-  Database db;
+  Database db(std::move(pool));
   for (const SurfaceRule& sr : parser.rules()) {
     if (!sr.body.empty()) {
       return InvalidArgumentError("database facts cannot have bodies (line " +

@@ -1,6 +1,7 @@
 #ifndef QCONT_PARSER_PARSER_H_
 #define QCONT_PARSER_PARSER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,12 @@ Result<UC2rpq> ParseUC2rpq(const std::string& text,
 /// Parses a database as a list of facts:
 ///
 ///     likes('ann', 'beer'). trendy('ann').
-Result<Database> ParseDatabase(const std::string& text);
+///
+/// Values and relation names are interned into `pool` (a fresh one by
+/// default); pass a shared pool to make ids comparable across databases.
+Result<Database> ParseDatabase(
+    const std::string& text,
+    std::shared_ptr<Interner> pool = std::make_shared<Interner>());
 
 /// Parse-only variants that skip semantic validation: syntax errors still
 /// fail, but unsafe rules, arity clashes etc. come back as a constructed

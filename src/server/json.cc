@@ -96,7 +96,7 @@ std::string JsonValue::Dump() const {
       return buf;
     }
     case Kind::kString:
-      return "\"" + JsonEscape(string_) + "\"";
+      return std::string("\"").append(JsonEscape(string_)).append("\"");
     case Kind::kArray: {
       std::string out = "[";
       for (std::size_t i = 0; i < array_.size(); ++i) {
@@ -111,7 +111,8 @@ std::string JsonValue::Dump() const {
       for (const auto& [key, value] : object_) {
         if (!first) out += ",";
         first = false;
-        out += "\"" + JsonEscape(key) + "\":" + value.Dump();
+        out.append("\"").append(JsonEscape(key)).append("\":");
+        out += value.Dump();
       }
       return out + "}";
     }

@@ -199,9 +199,11 @@ ServerStats Server::stats() const {
 namespace {
 
 /// Decodes and input-parses one request line into a Prepared. Never runs
-/// an engine; every early exit fills `outcome` and sets `done`.
+/// an engine; every early exit fills `outcome` and sets `done`. An eval
+/// request's database is interned into the server's shared value pool
+/// `pool`, so repeated databases re-use interned values across requests.
 void PrepareRequest(const std::string& line, const ServerOptions& options,
-                    Prepared* p) {
+                    const std::shared_ptr<Interner>& pool, Prepared* p) {
   p->admitted = Clock::now();
   if (options.default_deadline_ms > 0) {
     p->has_deadline = true;
@@ -291,7 +293,7 @@ void PrepareRequest(const std::string& line, const ServerOptions& options,
     }
     auto program = ParseProgram(*program_text);
     if (!program.ok()) return fail(program.status());
-    auto database = ParseDatabase(*db_text);
+    auto database = ParseDatabase(*db_text, pool);
     if (!database.ok()) return fail(database.status());
     p->program = std::move(*program);
     p->database = std::move(*database);
@@ -402,11 +404,8 @@ Outcome RunContainment(const ServerOptions& options, PlanCache& cache,
   return out;
 }
 
-/// Evaluation: Π(D) keyed by (program, canonical database) hashes. The
-/// working database is rebuilt against the server's shared value pool so
-/// repeated databases re-use interned values across requests.
-Outcome RunEval(const ServerOptions& options, PlanCache& cache,
-                const std::shared_ptr<Interner>& pool, Prepared& p) {
+/// Evaluation: Π(D) keyed by (program, canonical database) hashes.
+Outcome RunEval(const ServerOptions& options, PlanCache& cache, Prepared& p) {
   const PlanKey key{p.key1, p.key2};
   bool stable = false;
   std::optional<CachedEval> cached = cache.LookupEval(key, &stable);
@@ -414,16 +413,10 @@ Outcome RunEval(const ServerOptions& options, PlanCache& cache,
   if (!cached.has_value()) {
     if (p.Expired()) return Outcome::Deadline();
     ObsSpan span(options.obs, "server/engine", "server");
-    Database db(pool);
-    for (const std::string& relation : p.database->Relations()) {
-      for (const Tuple& tuple : p.database->Facts(relation)) {
-        db.AddFact(relation, tuple);
-      }
-    }
     EvalOptions eval;
     eval.exec.threads = options.engine_threads;
     eval.obs = options.obs;
-    auto tuples = EvaluateGoal(*p.program, db, eval);
+    auto tuples = EvaluateGoal(*p.program, *p.database, eval);
     if (!tuples.ok()) return Outcome::Error(tuples.status());
     CachedEval built;
     built.tuples = std::move(*tuples);
@@ -486,7 +479,9 @@ std::vector<std::string> Server::HandleChunk(
   exec.threads = options_.threads;
   // Phase 1: decode + input-parse every request (embarrassingly parallel).
   ParallelFor(exec, n,
-              [&](std::size_t i) { PrepareRequest(lines[i], options_, &prepared[i]); });
+              [&](std::size_t i) {
+                PrepareRequest(lines[i], options_, pool_, &prepared[i]);
+              });
 
   // Phase 2: group by canonical work key; the first occurrence leads.
   std::map<std::tuple<std::string, std::uint64_t, std::uint64_t>, std::size_t>
@@ -514,7 +509,7 @@ std::vector<std::string> Server::HandleChunk(
     if (p.op == "containment") {
       p.outcome = RunContainment(options_, cache_, p);
     } else if (p.op == "eval") {
-      p.outcome = RunEval(options_, cache_, pool_, p);
+      p.outcome = RunEval(options_, cache_, p);
     } else {
       p.outcome = RunAnalyze(options_, cache_, p);
     }

@@ -1,15 +1,22 @@
 // Tests for the static analyzer (src/analysis): every diagnostic code, the
-// Validate()/analyzer agreement, and the Theorem 5 safety story.
+// Validate()/analyzer agreement, the Theorem 5 safety story, and the
+// canonical database hash.
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/analyzer.h"
 #include "analysis/diagnostic.h"
+#include "analysis/report.h"
 #include "core/hardness.h"
+#include "cq/database.h"
 #include "parser/parser.h"
 #include "tests/generators.h"
 
@@ -436,10 +443,10 @@ TEST(RegressionTest, ValidateAgreesWithAnalyzerOnRandomPrograms) {
       const int arity = 1 + static_cast<int>(rng() % 2);
       for (int j = 0; j < arity; ++j) {
         head_terms.push_back(Term::Variable(
-            rng() % 2 == 0 ? "x" + std::to_string(rng() % 4) : "fresh"));
+            rng() % 2 == 0 ? testgen::Numbered("x", rng() % 4) : "fresh"));
       }
       rules.push_back(
-          Rule{Atom("p" + std::to_string(rng() % 2), std::move(head_terms)),
+          Rule{Atom(testgen::Numbered("p", rng() % 2), std::move(head_terms)),
                cq.atoms()});
     }
     const std::string goal = rules.front().head.predicate();
@@ -492,6 +499,63 @@ TEST(DiagnosticTest, FirstErrorSkipsWarningsAndCarriesCode) {
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("QC002"), std::string::npos);
   EXPECT_TRUE(analysis::FirstError({}).ok());
+}
+
+// --- CanonicalDatabaseHash (the server's eval-cache key) --------------------
+
+// e(a,b). e(b,c). u(c). z().
+void AddPinnedFacts(Database* db, bool reversed) {
+  std::vector<std::pair<std::string, Tuple>> facts = {
+      {"e", {"a", "b"}}, {"e", {"b", "c"}}, {"u", {"c"}}, {"z", {}}};
+  if (reversed) std::reverse(facts.begin(), facts.end());
+  for (auto& [rel, tuple] : facts) db->AddFact(rel, std::move(tuple));
+}
+
+TEST(CanonicalDatabaseHashTest, IndependentOfInsertionOrderAndPool) {
+  Database forward;
+  AddPinnedFacts(&forward, /*reversed=*/false);
+  // A pool pre-seeded with unrelated names hands the same names other ids.
+  auto seeded = std::make_shared<Interner>();
+  for (int i = 0; i < 7; ++i) seeded->Intern(testgen::Numbered("pad", i));
+  seeded->Intern("c");
+  Database backward(seeded);
+  AddPinnedFacts(&backward, /*reversed=*/true);
+  ASSERT_NE(forward.ValueIdOf("a"), backward.ValueIdOf("a"));
+  EXPECT_EQ(analysis::CanonicalDatabaseHash(forward),
+            analysis::CanonicalDatabaseHash(backward));
+}
+
+TEST(CanonicalDatabaseHashTest, ChangesWithAValueOrARelation) {
+  Database base;
+  AddPinnedFacts(&base, /*reversed=*/false);
+  const std::uint64_t h = analysis::CanonicalDatabaseHash(base);
+  Database value;
+  value.AddFact("e", {"a", "b"});
+  value.AddFact("e", {"b", "d"});  // c -> d
+  value.AddFact("u", {"c"});
+  value.AddFact("z", {});
+  EXPECT_NE(analysis::CanonicalDatabaseHash(value), h);
+  Database relation;
+  relation.AddFact("e", {"a", "b"});
+  relation.AddFact("f", {"b", "c"});  // e -> f
+  relation.AddFact("u", {"c"});
+  relation.AddFact("z", {});
+  EXPECT_NE(analysis::CanonicalDatabaseHash(relation), h);
+  Database fewer;
+  fewer.AddFact("e", {"a", "b"});
+  fewer.AddFact("e", {"b", "c"});
+  fewer.AddFact("u", {"c"});
+  EXPECT_NE(analysis::CanonicalDatabaseHash(fewer), h);
+}
+
+// The cache key is persisted nowhere, but a changed digest would mean the
+// hashed bytes changed: pin the value for a fixed database.
+TEST(CanonicalDatabaseHashTest, PinnedValue) {
+  Database db;
+  AddPinnedFacts(&db, /*reversed=*/false);
+  EXPECT_EQ(analysis::CanonicalDatabaseHash(db), 0xb3849cb5d1041298ULL);
+  EXPECT_EQ(analysis::CanonicalDatabaseHash(Database()),
+            0xe220a8397b1dcdafULL);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "cq/database.h"
 #include "cq/homomorphism.h"
 #include "cq/query.h"
+#include "tests/generators.h"
 
 namespace qcont {
 namespace {
@@ -17,11 +19,11 @@ ConjunctiveQuery PathQuery(int n) {
   std::vector<Atom> atoms;
   for (int i = 0; i < n; ++i) {
     atoms.emplace_back("E", std::vector<Term>{
-                                Term::Variable("x" + std::to_string(i)),
-                                Term::Variable("x" + std::to_string(i + 1))});
+                                Term::Variable(testgen::Numbered("x", i)),
+                                Term::Variable(testgen::Numbered("x", i + 1))});
   }
   return ConjunctiveQuery(
-      {Term::Variable("x0"), Term::Variable("x" + std::to_string(n))},
+      {Term::Variable("x0"), Term::Variable(testgen::Numbered("x", n))},
       std::move(atoms));
 }
 
@@ -108,18 +110,18 @@ TEST(DatabaseTest, AccessorsDoNotRebuildOnDuplicateAddFact) {
   db.AddFact("R", {"a", "b"});
   db.AddFact("S", {"c"});
   const std::vector<std::string>& relations = db.Relations();
-  const std::vector<Value>& domain = db.ActiveDomain();
+  const std::vector<ValueId>& domain = db.ActiveDomainIds();
   const std::string* relations_data = relations.data();
-  const Value* domain_data = domain.data();
+  const ValueId* domain_data = domain.data();
   EXPECT_EQ(relations, (std::vector<std::string>{"R", "S"}));
-  EXPECT_EQ(domain, (std::vector<Value>{"a", "b", "c"}));
+  EXPECT_EQ(db.ActiveDomain(), (std::vector<Value>{"a", "b", "c"}));
 
   // A duplicate fact and a new fact of a known relation with known values
-  // must not invalidate either cached vector (no rebuild, no realloc).
+  // must not invalidate either maintained vector (no rebuild, no realloc).
   EXPECT_FALSE(db.AddFact("R", {"a", "b"}));
   EXPECT_TRUE(db.AddFact("R", {"b", "a"}));
   EXPECT_EQ(db.Relations().data(), relations_data);
-  EXPECT_EQ(db.ActiveDomain().data(), domain_data);
+  EXPECT_EQ(db.ActiveDomainIds().data(), domain_data);
   EXPECT_EQ(db.Relations(), (std::vector<std::string>{"R", "S"}));
   EXPECT_EQ(db.ActiveDomain(), (std::vector<Value>{"a", "b", "c"}));
 }
@@ -131,13 +133,16 @@ TEST(DatabaseTest, ProbeFindsRowsByBoundPositions) {
   db.AddFact("E", {"2", "3"});
   ValueId one = db.ValueIdOf("1");
   ASSERT_NE(one, kNoValue);
+  const RelationId e = db.RelationIdOf("E");
+  auto probe = [&](ValueId v) {
+    return db.Probe(e, 1u, std::span<const ValueId>(&v, 1)).size();
+  };
   // Mask 0b01: rows whose first position is "1".
-  const auto& bucket = db.Probe("E", 1u, {one});
-  EXPECT_EQ(bucket.size(), 2u);
+  EXPECT_EQ(probe(one), 2u);
   // Indexes catch up incrementally after AddFact.
   db.AddFact("E", {"1", "4"});
-  EXPECT_EQ(db.Probe("E", 1u, {one}).size(), 3u);
-  EXPECT_TRUE(db.Probe("E", 1u, {db.ValueIdOf("4")}).empty());
+  EXPECT_EQ(probe(one), 3u);
+  EXPECT_EQ(probe(db.ValueIdOf("4")), 0u);
   EXPECT_EQ(db.ValueIdOf("never-seen"), kNoValue);
   EXPECT_GE(db.index_stats().probes, 3u);
   EXPECT_GE(db.index_stats().indexes_built, 1u);
@@ -211,11 +216,11 @@ TEST(DatabaseTest, FlatProbeTableResizesAndCountsCollisions) {
   // Enough distinct keys to push the mask-1 probe table through several
   // capacity doublings (load kept under 3/4).
   for (int i = 0; i < 300; ++i) {
-    db.AddFact("R", {"k" + std::to_string(i), "v" + std::to_string(i % 3)});
+    db.AddFact("R", {testgen::Numbered("k", i), testgen::Numbered("v", i % 3)});
   }
   const RelationId rel = db.RelationIdOf("R");
   for (int i = 0; i < 300; ++i) {
-    const ValueId key = db.ValueIdOf("k" + std::to_string(i));
+    const ValueId key = db.ValueIdOf(testgen::Numbered("k", i));
     EXPECT_EQ(db.Probe(rel, 1u, std::span<const ValueId>(&key, 1)).size(), 1u);
   }
   const DatabaseIndexStats stats = db.index_stats();
@@ -256,6 +261,47 @@ TEST(DatabaseTest, UnionWith) {
   b.AddFact("S", {"y"});
   a.UnionWith(b);
   EXPECT_EQ(a.NumFacts(), 2u);
+}
+
+// Rows are stored as ids only; the string accessors render them through
+// the pool, which another database may have filled with its own names.
+TEST(DatabaseTest, RendersFromASharedPool) {
+  Database other;
+  other.AddFact("T", {"p", "q"});
+  other.AddFact("R", {"q", "p"});
+  Database db(other.pool());
+  db.AddFact("R", {"b", "a"});
+  db.AddFact("S", {"c"});
+  db.AddFact("R", {"a", "b"});
+  EXPECT_EQ(db.Facts("R"), (std::vector<Tuple>{{"b", "a"}, {"a", "b"}}));
+  EXPECT_EQ(db.Facts("S"), (std::vector<Tuple>{{"c"}}));
+  EXPECT_TRUE(db.Facts("T").empty());  // interned by `other` only
+  EXPECT_EQ(db.ActiveDomain(), (std::vector<Value>{"b", "a", "c"}));
+  EXPECT_EQ(db.ToString(), "R(b,a)\nR(a,b)\nS(c)\n");
+  EXPECT_EQ(other.ToString(), "R(q,p)\nT(p,q)\n");
+}
+
+TEST(DatabaseTest, UnionWithCopiesAcrossSharedAndSeparatePools) {
+  Database source;
+  source.AddFact("R", {"x", "y"});
+  source.AddFact("S", {"y"});
+  source.AddFact("Z", {});
+  Database shared(source.pool());
+  shared.AddFact("R", {"x", "y"});
+  shared.UnionWith(source);
+  EXPECT_EQ(shared.NumFacts(), 3u);
+  EXPECT_EQ(shared.ToString(), source.ToString());
+
+  auto seeded = std::make_shared<Interner>();
+  seeded->Intern("unrelated");
+  Database separate(seeded);
+  separate.AddFact("S", {"w"});
+  separate.UnionWith(source);
+  EXPECT_EQ(separate.NumFacts(), 4u);
+  EXPECT_TRUE(separate.HasFact("R", {"x", "y"}));
+  EXPECT_TRUE(separate.HasFact("Z", {}));
+  EXPECT_EQ(separate.Facts("S"), (std::vector<Tuple>{{"w"}, {"y"}}));
+  EXPECT_EQ(separate.ActiveDomain(), (std::vector<Value>{"w", "x", "y"}));
 }
 
 TEST(CanonicalDatabaseTest, FreezesVariables) {

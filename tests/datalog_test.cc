@@ -120,6 +120,40 @@ TEST(EvalTest, ProgramEdbArityClashIsInvalidArgument) {
   EXPECT_EQ(contained.status().code(), StatusCode::kInvalidArgument);
 }
 
+// UcqContainedInDatalog validates Π once up front and then only checks
+// each disjunct's canonical database against Π's arities; every rejection
+// keeps its status.
+TEST(EvalTest, UcqContainedInDatalogRejectsBadInputs) {
+  auto unsafe = ParseProgramUnvalidated("p(x,y) :- e(x,x). goal p.");
+  ASSERT_TRUE(unsafe.ok());
+  const Status invalid = unsafe->Validate();
+  ASSERT_FALSE(invalid.ok());
+  auto theta = ParseUcq("Q(x,y) :- e(x,y).");
+  ASSERT_TRUE(theta.ok());
+  auto bad_program = UcqContainedInDatalog(*theta, *unsafe);
+  ASSERT_FALSE(bad_program.ok());
+  EXPECT_EQ(bad_program.status().code(), invalid.code());
+  EXPECT_EQ(bad_program.status().message(), invalid.message());
+
+  auto unary = ParseUcq("Q(x) :- e(x,y).");
+  ASSERT_TRUE(unary.ok());
+  auto bad_arity = UcqContainedInDatalog(*unary, Tc());
+  ASSERT_FALSE(bad_arity.ok());
+  EXPECT_EQ(bad_arity.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_arity.status().message(), "UCQ arity differs from goal arity");
+
+  // Only the second disjunct's canonical database clashes with Tc (t/3
+  // against the program's t/2); the first is contained, so the check runs.
+  auto mixed = ParseUcq("Q(x,y) :- e(x,y). Q(x,y) :- e(x,y), t(x,y,z).");
+  ASSERT_TRUE(mixed.ok());
+  auto bad_edb = UcqContainedInDatalog(*mixed, Tc());
+  ASSERT_FALSE(bad_edb.ok());
+  EXPECT_EQ(bad_edb.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_edb.status().message(),
+            "predicate 't' used with inconsistent arities (2 in the "
+            "program, 3 in the database) [QC004]");
+}
+
 // Property: semi-naive and naive evaluation derive identical fixpoints.
 TEST(EvalProperty, SemiNaiveEqualsNaive) {
   std::mt19937 rng(987);

@@ -14,6 +14,15 @@
 namespace qcont {
 namespace testgen {
 
+/// `prefix` followed by the decimal `i`, e.g. Numbered("v", 3) == "v3".
+/// (Appending with += rather than `"v" + std::to_string(i)`: GCC 12 at -O2
+/// reports a false -Wrestrict on the latter.)
+inline std::string Numbered(const char* prefix, std::size_t i) {
+  std::string out(prefix);
+  out += std::to_string(i);
+  return out;
+}
+
 struct SchemaSpec {
   std::vector<std::pair<std::string, int>> relations;  // (name, arity)
 };
@@ -36,7 +45,7 @@ inline Db RandomDatabase(std::mt19937* rng, const SchemaSpec& schema,
     const auto& [name, arity] = schema.relations[(*rng)() % schema.relations.size()];
     Tuple t;
     for (int j = 0; j < arity; ++j) {
-      t.push_back("v" + std::to_string((*rng)() % domain));
+      t.push_back(Numbered("v", (*rng)() % domain));
     }
     db.AddFact(name, std::move(t));
   }
@@ -55,7 +64,7 @@ inline ConjunctiveQuery RandomCq(std::mt19937* rng, const SchemaSpec& schema,
         schema.relations[(*rng)() % schema.relations.size()];
     std::vector<Term> terms;
     for (int j = 0; j < rel_arity; ++j) {
-      std::string var = "x" + std::to_string((*rng)() % num_vars);
+      std::string var = Numbered("x", (*rng)() % num_vars);
       used.push_back(var);
       terms.push_back(Term::Variable(var));
     }
@@ -93,7 +102,7 @@ inline ConjunctiveQuery RandomAcyclicCq(std::mt19937* rng,
       if (!pool.empty() && (*rng)() % 2 == 0) {
         var = pool[(*rng)() % pool.size()];
       } else {
-        var = "y" + std::to_string(fresh++);
+        var = Numbered("y", fresh++);
       }
       vars.push_back(var);
       used.push_back(var);

@@ -334,7 +334,7 @@ TEST(ReferenceDifferentialTest, GrowthPastLoadKeepsEveryRowProbeable) {
   Database db;
   const int kRows = 2000;
   for (int i = 0; i < kRows; ++i) {
-    const Tuple t = {"n" + std::to_string(i), "n" + std::to_string(i + 1)};
+    const Tuple t = {testgen::Numbered("n", i), testgen::Numbered("n", i + 1)};
     ASSERT_TRUE(db.AddFact("E", t));
     ASSERT_FALSE(db.AddFact("E", t));
   }

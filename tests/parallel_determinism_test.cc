@@ -151,7 +151,8 @@ TEST(DatabaseConcurrencyTest, ConcurrentProbesBuildIndexesSafely) {
       const Tuple& probe_tuple = facts[i % facts.size()];
       ValueId id = db.ValueIdOf(probe_tuple[0]);
       ASSERT_NE(id, kNoValue);
-      const std::span<const std::uint32_t> bucket = db.Probe(rel, 1u, {id});
+      const std::span<const std::uint32_t> bucket =
+          db.Probe(db.RelationIdOf(rel), 1u, std::span<const ValueId>(&id, 1));
       ASSERT_FALSE(bucket.empty());
       total_rows.fetch_add(bucket.size(), std::memory_order_relaxed);
       ASSERT_TRUE(db.HasFact(rel, probe_tuple));
@@ -210,7 +211,7 @@ TEST(ParallelDeterminismTest, UcqContainmentArityErrorsMatchSerial) {
   auto cq = [](int arity) {
     std::vector<Term> head;
     for (int i = 0; i < arity; ++i) {
-      head.push_back(Term::Variable("x" + std::to_string(i)));
+      head.push_back(Term::Variable(testgen::Numbered("x", i)));
     }
     std::vector<Atom> atoms;
     atoms.emplace_back(

@@ -120,13 +120,14 @@ class ReferenceDatabase {
 // ---------------------------------------------------------------------------
 // Scan engine: the pre-index hom search. Static greedy atom order, full
 // relation scan per atom, string-keyed bindings, reading a Database only
-// through `Facts`. It is the reference the candidate-bound tests hold the
-// indexed search to: a probe returns a subset of the rows a scan walks, so
-// the indexed search never inspects more candidates than this one.
+// through `Facts` (rendered once per atom at construction). It is the
+// reference the candidate-bound tests hold the indexed search to: a probe
+// returns a subset of the rows a scan walks, so the indexed search never
+// inspects more candidates than this one.
 // ---------------------------------------------------------------------------
 struct ScanSearcher {
   std::vector<Atom> atoms;                // ordered at construction
-  std::vector<const Database*> dbs;       // parallel to `atoms`
+  std::vector<std::vector<Tuple>> facts;  // parallel to `atoms`
   Assignment binding;
   HomSearchStats* stats;
   const std::function<bool(const Assignment&)>* visit = nullptr;
@@ -135,7 +136,10 @@ struct ScanSearcher {
   ScanSearcher(const std::vector<Atom>& atoms_in,
                const std::vector<const Database*>& dbs_in,
                const Assignment& fixed, HomSearchStats* stats_in)
-      : atoms(atoms_in), dbs(dbs_in), binding(fixed), stats(stats_in) {
+      : atoms(atoms_in), binding(fixed), stats(stats_in) {
+    for (std::size_t i = 0; i < atoms.size(); ++i) {
+      facts.push_back(dbs_in[i]->Facts(atoms[i].predicate()));
+    }
     OrderAtoms();
   }
 
@@ -144,7 +148,7 @@ struct ScanSearcher {
   // relation. Keeps the search close to a join order a planner would pick.
   void OrderAtoms() {
     std::vector<Atom> ordered;
-    std::vector<const Database*> ordered_dbs;
+    std::vector<std::vector<Tuple>> ordered_facts;
     std::set<std::string> bound;
     for (const auto& [var, value] : binding) bound.insert(var);
     std::vector<bool> used(atoms.size(), false);
@@ -158,9 +162,7 @@ struct ScanSearcher {
           if (t.is_constant() || bound.count(t.name())) ++covered;
         }
         // Prefer high coverage, then small relations.
-        long score =
-            covered * 1000000 -
-            static_cast<long>(dbs[i]->Facts(atoms[i].predicate()).size());
+        long score = covered * 1000000 - static_cast<long>(facts[i].size());
         if (best < 0 || score > best_score) {
           best = static_cast<int>(i);
           best_score = score;
@@ -171,10 +173,10 @@ struct ScanSearcher {
         if (t.is_variable()) bound.insert(t.name());
       }
       ordered.push_back(atoms[best]);
-      ordered_dbs.push_back(dbs[best]);
+      ordered_facts.push_back(std::move(facts[best]));
     }
     atoms = std::move(ordered);
-    dbs = std::move(ordered_dbs);
+    facts = std::move(ordered_facts);
   }
 
   void Recurse(std::size_t index) {
@@ -184,7 +186,7 @@ struct ScanSearcher {
       return;
     }
     const Atom& atom = atoms[index];
-    for (const Tuple& fact : dbs[index]->Facts(atom.predicate())) {
+    for (const Tuple& fact : facts[index]) {
       if (fact.size() != atom.arity()) continue;
       if (stats != nullptr) {
         ++stats->atom_attempts;

@@ -45,7 +45,7 @@ ConjunctiveQuery RandomCyclicCq(std::mt19937* rng,
         schema.relations[(*rng)() % schema.relations.size()];
     std::vector<Term> terms;
     for (int j = 0; j < arity; ++j) {
-      terms.push_back(Term::Variable("x" + std::to_string((*rng)() % 4)));
+      terms.push_back(Term::Variable(testgen::Numbered("x", (*rng)() % 4)));
     }
     atoms.emplace_back(name, std::move(terms));
   }

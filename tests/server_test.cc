@@ -214,7 +214,9 @@ TEST(ServerTest, CacheMarkersIgnoreSameBatchInsertsAcrossWorkItems) {
       R"({"id":4,"op":"containment","program":"g(x,y) :- e(x,y). goal g.","query":"Q(x,y) :- e(x,y). Q(u,v) :- e(u,w), e(w,v)."})",
   };
   for (int threads : {1, 8}) {
-    Server server(ServerOptions{.threads = threads});
+    ServerOptions options;
+    options.threads = threads;
+    Server server(options);
     std::vector<std::string> responses = server.HandleBatch(requests);
     ASSERT_EQ(responses.size(), requests.size());
     for (const std::string& r : responses) {
@@ -278,7 +280,9 @@ TEST(ServerTest, RepeatedProgramSharesArtifactAcrossBatches) {
           R"(","query":"Q(x,y) :- e(x,y), e(y,z), e(z,x), e(x,x)."})",
   };
   for (int threads : {1, 8}) {
-    Server server(ServerOptions{.threads = threads});
+    ServerOptions options;
+    options.threads = threads;
+    Server server(options);
     for (const std::string& r : server.HandleBatch(first)) {
       EXPECT_NE(r.find("\"cache\":\"miss\""), std::string::npos) << r;
     }
