@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <optional>
@@ -105,18 +106,42 @@ Result<UnionQuery> MinimizeUcq(const UnionQuery& ucq) {
   return UnionQuery(std::move(kept));
 }
 
-std::string TuplesToJson(const std::vector<Tuple>& tuples) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < tuples.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "[";
-    for (std::size_t j = 0; j < tuples[i].size(); ++j) {
-      if (j > 0) out += ",";
-      out += "\"" + JsonEscape(tuples[i][j]) + "\"";
-    }
-    out += "]";
+/// Appends `s` as a JSON string literal, escaping only when it holds a
+/// quote, a backslash or a control byte.
+void AppendJsonString(const std::string& s, std::string* out) {
+  out->push_back('"');
+  const bool plain = std::none_of(s.begin(), s.end(), [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  });
+  if (plain) {
+    out->append(s);
+  } else {
+    out->append(JsonEscape(s));
   }
-  return out + "]";
+  out->push_back('"');
+}
+
+/// Appends `tuples` as a JSON array of string arrays.
+void TuplesToJson(const std::vector<Tuple>& tuples, std::string* out) {
+  // Sized for the unescaped text, so a large result is allocated once
+  // instead of growing through a chain of doubling copies.
+  std::size_t bytes = 2;
+  for (const Tuple& t : tuples) {
+    bytes += 3;
+    for (const Value& v : t) bytes += v.size() + 3;
+  }
+  out->reserve(out->size() + bytes);
+  out->push_back('[');
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    out->push_back('[');
+    for (std::size_t j = 0; j < tuples[i].size(); ++j) {
+      if (j > 0) out->push_back(',');
+      AppendJsonString(tuples[i][j], out);
+    }
+    out->push_back(']');
+  }
+  out->push_back(']');
 }
 
 /// A request after JSON decoding and input parsing, carrying everything
@@ -161,9 +186,12 @@ std::string RenderResponse(const std::string& id_json, const std::string& op,
   out += "\"cache\":\"" + outcome.cache + "\",";
   out += "\"elapsed_us\":" + std::to_string(elapsed_us);
   if (outcome.status == "ok") {
-    out += ",\"result\":" +
-           (outcome.result_json.empty() ? std::string("{}")
-                                        : outcome.result_json);
+    out += ",\"result\":";
+    if (outcome.result_json.empty()) {
+      out += "{}";
+    } else {
+      out += outcome.result_json;
+    }
   } else {
     out += ",\"error\":{\"code\":\"" +
            JsonEscape(outcome.error_code.empty() ? outcome.status
@@ -425,8 +453,11 @@ Outcome RunEval(const ServerOptions& options, PlanCache& cache, Prepared& p) {
   }
   Outcome out;
   out.cache = cache_marker;
-  out.result_json = "{\"goal\":\"" + JsonEscape(p.program->goal_predicate()) +
-                    "\",\"tuples\":" + TuplesToJson(cached->tuples) + "}";
+  out.result_json = "{\"goal\":";
+  AppendJsonString(p.program->goal_predicate(), &out.result_json);
+  out.result_json += ",\"tuples\":";
+  TuplesToJson(cached->tuples, &out.result_json);
+  out.result_json.push_back('}');
   return out;
 }
 
