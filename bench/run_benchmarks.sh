@@ -62,7 +62,7 @@ build_dir="$repo_root/build"
 out_dir="$repo_root"
 suites="e1_ucq_containment e2_tractable_ucq e2_acyclic_eval e3_datalog_ucq_general \
 e4_ack_engine e5_routing e6_hack e7_acrk_engine e8_multiedge e9_datalog_eval \
-e10_c2rpq_eval e10_hot_program probe_kernel parser"
+e10_c2rpq_eval e10_hot_program probe_kernel"
 
 while getopts "b:o:s:" opt; do
   case "$opt" in

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/status.h"
@@ -62,6 +63,11 @@ class JsonValue {
 /// Parses exactly one JSON value from `text` (surrounding whitespace
 /// allowed, trailing garbage is an error).
 Result<JsonValue> ParseJson(const std::string& text);
+
+/// Appends `s` to `*out` escaped for embedding in a JSON string literal
+/// (quotes not added). Each run of bytes that needs no escape is copied
+/// with one append.
+void AppendJsonEscaped(std::string_view s, std::string* out);
 
 /// Escapes `s` for embedding in a JSON string literal (quotes not added).
 std::string JsonEscape(const std::string& s);

@@ -106,21 +106,6 @@ Result<UnionQuery> MinimizeUcq(const UnionQuery& ucq) {
   return UnionQuery(std::move(kept));
 }
 
-/// Appends `s` as a JSON string literal, escaping only when it holds a
-/// quote, a backslash or a control byte.
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  const bool plain = std::none_of(s.begin(), s.end(), [](char c) {
-    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
-  });
-  if (plain) {
-    out->append(s);
-  } else {
-    out->append(JsonEscape(s));
-  }
-  out->push_back('"');
-}
-
 /// Appends `tuples` as a JSON array of string arrays.
 void TuplesToJson(const std::vector<Tuple>& tuples, std::string* out) {
   // Sized for the unescaped text, so a large result is allocated once
@@ -137,7 +122,9 @@ void TuplesToJson(const std::vector<Tuple>& tuples, std::string* out) {
     out->push_back('[');
     for (std::size_t j = 0; j < tuples[i].size(); ++j) {
       if (j > 0) out->push_back(',');
-      AppendJsonString(tuples[i][j], out);
+      out->push_back('"');
+      AppendJsonEscaped(tuples[i][j], out);
+      out->push_back('"');
     }
     out->push_back(']');
   }
@@ -453,9 +440,9 @@ Outcome RunEval(const ServerOptions& options, PlanCache& cache, Prepared& p) {
   }
   Outcome out;
   out.cache = cache_marker;
-  out.result_json = "{\"goal\":";
-  AppendJsonString(p.program->goal_predicate(), &out.result_json);
-  out.result_json += ",\"tuples\":";
+  out.result_json = "{\"goal\":\"";
+  AppendJsonEscaped(p.program->goal_predicate(), &out.result_json);
+  out.result_json += "\",\"tuples\":";
   TuplesToJson(cached->tuples, &out.result_json);
   out.result_json.push_back('}');
   return out;

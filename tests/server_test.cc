@@ -46,6 +46,17 @@ TEST(JsonTest, EscapesRoundTrip) {
   EXPECT_EQ(again->Get("s")->string_value(), "a\"b\\c\ndA");
 }
 
+TEST(JsonTest, AppendJsonEscapedPinsEveryEscape) {
+  std::string out = "[";
+  AppendJsonEscaped(std::string("\"ab\\\n\r\t\b\f\x01z\x1f", 12), &out);
+  EXPECT_EQ(out, "[\\\"ab\\\\\\n\\r\\t\\b\\f\\u0001z\\u001f");
+  out.clear();
+  AppendJsonEscaped("plain \x7f\xc3\xa9", &out);
+  EXPECT_EQ(out, "plain \x7f\xc3\xa9");
+  EXPECT_EQ(JsonEscape(std::string("x\0y", 3)), "x\\u0000y");
+  EXPECT_EQ(JsonEscape(""), "");
+}
+
 TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("").ok());
   EXPECT_FALSE(ParseJson("{").ok());
